@@ -20,10 +20,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+
+# SequencePrimitives is called through its module, so that a wrapper
+# installed there (a profiler or tracer) sees every call.
+from . import features
 from .charts import svg_line_chart
 from .errors import LmaError
 from .explain import (
-    permutation_importance,
     summary_rank,
     tree_shap,
     write_explanations_csv,
@@ -32,7 +35,6 @@ from .explain import (
 from .features import (
     FEATURE_NAMES,
     LmaConfig,
-    SequencePrimitives,
     assemble_features,
     read_features_csv,
     write_features_csv,
@@ -79,14 +81,17 @@ def _load_cloud(path):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            parts = line.split()
-            if len(parts) != 3:
-                raise LmaError(f"{path}:{lineno}: expected 'x y z'")
-            pts.append([float(v) for v in parts])
+            try:
+                point = [float(v) for v in line.split()]
+            except ValueError:
+                point = []
+            if len(point) != 3:
+                raise LmaError(f"{path}:{lineno}: expected 'x y z' numbers")
+            pts.append(point)
     return np.array(pts)
 
 
-def _write_manifest(out_dir, command, config, inputs, seed, notes=None):
+def _write_manifest(out_dir, command, config, inputs, seed, notes=None, extra=None):
     manifest = {
         "command": command,
         "config": config,
@@ -97,6 +102,7 @@ def _write_manifest(out_dir, command, config, inputs, seed, notes=None):
     }
     if notes:
         manifest["notes"] = notes
+    manifest.update(extra or {})
     path = Path(out_dir) / "manifest.json"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -150,12 +156,20 @@ def _int_list(v):
 
 
 def _load_sequences(paths, max_gap=6):
+    """Load and repair every sequence; refuse a set with mixed frame rates,
+    because windows are counted in frames."""
     seqs = []
     for p in paths:
         try:
             seqs.append(validate_and_repair(load_sequence(p), max_gap=max_gap))
         except LmaError as e:
             raise LmaError(f"{p}: {e}") from e
+    by_fps = {}
+    for p, seq in zip(paths, seqs):
+        by_fps.setdefault(seq.fps, []).append(str(p))
+    if len(by_fps) > 1:
+        listing = "; ".join(f"{fps:g} fps: {', '.join(files)}" for fps, files in by_fps.items())
+        raise LmaError(f"inputs have mixed frame rates ({listing}); resample them to one rate")
     return seqs
 
 
@@ -175,9 +189,12 @@ def cmd_extract(args, file_cfg):
     cfg = _lma_config(args, file_cfg)
     notes = {}
     plane = _floor_for(args, notes)
-    rows = []
-    for seq in _load_sequences(args.sequences):
-        rows.extend(assemble_features(seq, plane=plane, cfg=cfg))
+    seqs = _load_sequences(args.sequences)
+    rows, degenerate = [], 0
+    for seq in seqs:
+        prim = features.SequencePrimitives(seq)
+        degenerate += int(np.count_nonzero(prim.volume == 0.0))
+        rows.extend(assemble_features(seq, plane=plane, cfg=cfg, primitives=prim))
     write_features_csv(rows, out / "features.csv")
     config = {
         "window": {"w": cfg.window.w, "stride": cfg.window.stride},
@@ -185,7 +202,11 @@ def cmd_extract(args, file_cfg):
         "tau": args.tau,
     }
     inputs = list(args.sequences) + ([args.cloud] if args.cloud else [])
-    _write_manifest(out, "extract", config, inputs, args.seed, notes)
+    extra = {
+        "fps": {str(p): seq.fps for p, seq in zip(args.sequences, seqs)},
+        "diagnostics": {"degenerate_hull_frames": degenerate},
+    }
+    _write_manifest(out, "extract", config, inputs, args.seed, notes, extra)
     print(f"wrote {len(rows)} feature rows to {out / 'features.csv'}")
     return 0
 
@@ -283,7 +304,8 @@ def _write_metrics_csv(rep, class_names, path):
             )
         mac = rep["macro"]
         writer.writerow(["macro", f"{mac['precision']:.9g}", f"{mac['recall']:.9g}",
-                         f"{mac['f1']:.9g}", len(class_names and []) or "", ""])
+                         f"{mac['f1']:.9g}",
+                         sum(rep["per_class"][name]["support"] for name in class_names), ""])
 
 
 def _vote_by_group(y_true, y_pred, groups):
@@ -350,6 +372,8 @@ def cmd_eval(args, file_cfg):
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     model = ForestModel.load(args.model)
+    if tuple(model.feature_names) != FEATURE_NAMES:
+        raise LmaError("model feature schema does not match the canonical layout")
     X, labels, groups, _ = read_features_csv(args.features)
     if any(l is None for l in labels):
         raise LmaError("feature CSV lacks labels; cannot evaluate")
@@ -379,7 +403,7 @@ def cmd_sweep(args, file_cfg):
     for w in sizes:
         if w > min_T:
             raise LmaError(f"window {w} exceeds shortest sequence ({min_T} frames)")
-    prims = [SequencePrimitives(s) for s in seqs]
+    prims = [features.SequencePrimitives(s) for s in seqs]
     params = ForestParams(
         n_trees=args.n_trees[0] if args.n_trees else 30,
         max_depth=args.max_depth[0] if args.max_depth else 12,
@@ -452,7 +476,7 @@ def cmd_kinplot(args, file_cfg):
     w = cfg.window.w
     if seq.n_frames < w:
         raise LmaError(f"sequence shorter than window ({seq.n_frames} < {w})")
-    prim = SequencePrimitives(seq)
+    prim = features.SequencePrimitives(seq)
     skel = seq.skeleton
     sel = [skel.index(r) for r in LmaConfig().selected_joints]
     mean_speed = prim.speed[:, sel].mean(axis=1)

@@ -16,6 +16,7 @@ slots through FEATURE_NAMES.
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import LmaError
 from .floor import flat_floor, height_above_floor
@@ -250,106 +251,103 @@ def _initiation_predicates(seq, role, cfg):
     return rate > tau  # length T-1; frame T-1 has no look-ahead
 
 
-def _effort_space_ratio(pos, start, end, w_inner, epsilon_net):
-    """Path-to-net-displacement ratio over chords tiling the window."""
-    k_max = (end - 1 - start) // w_inner
+def _vector_norms(d):
+    """Euclidean norm of each row, computed as `np.linalg.norm` computes one
+    vector's (a dot product), so a window's value does not depend on how
+    many windows share the call."""
+    return np.sqrt(np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0])
+
+
+def _effort_space_ratios(pos, starts, w, w_inner, epsilon_net):
+    """Path-to-net-displacement ratio over chords tiling each window of `w`
+    frames that begins at one of `starts`."""
+    k_max = (w - 1) // w_inner
     if k_max < 1:
-        raise LmaError(
-            f"window of {end - start} frames too short for inner stride {w_inner}"
-        )
-    samples = pos[start : start + k_max * w_inner + 1 : w_inner]
-    chords = float(np.sum(np.linalg.norm(np.diff(samples, axis=0), axis=1)))
-    if chords < 1e-12:
-        return 0.0
-    net = float(np.linalg.norm(samples[-1] - samples[0]))
-    return chords / max(net, epsilon_net)
+        raise LmaError(f"window of {w} frames too short for inner stride {w_inner}")
+    chord = np.linalg.norm(pos[w_inner:] - pos[:-w_inner], axis=1)
+    chords = chord[starts[:, None] + w_inner * np.arange(k_max)].sum(axis=1)
+    net = _vector_norms(pos[starts + k_max * w_inner] - pos[starts])
+    return np.where(chords < 1e-12, 0.0, chords / np.maximum(net, epsilon_net))
+
+
+def _effort_space_ratio(pos, start, end, w_inner, epsilon_net):
+    """Path-to-net-displacement ratio over chords tiling one window."""
+    return float(_effort_space_ratios(pos, np.array([start]), end - start, w_inner, epsilon_net)[0])
 
 
 def assemble_features(seq, plane=None, cfg=None, primitives=None):
-    """One WindowFeatures per sliding window, in the frozen 55-slot layout."""
+    """One WindowFeatures per sliding window, in the frozen 55-slot layout.
+
+    Every slot is reduced over all windows at once, from sliding-window views
+    of the per-frame primitives.
+    """
     cfg = cfg or LmaConfig()
     plane = plane or flat_floor()
     prim = primitives or SequencePrimitives(seq)
     skel = seq.skeleton
-    w = cfg.window.w
-    w_inner = max(2, w // 5)
-    spans = windows(seq.n_frames, cfg.window)
+    pos = seq.positions
+    T = seq.n_frames
+    w, stride = cfg.window.w, cfg.window.stride
+    starts = np.array([s for s, _ in windows(T, cfg.window)])
+
+    def win(x, length=w):
+        """Every window of `length` frames over x's first axis, frames last."""
+        return sliding_window_view(x, length, axis=0)[::stride]
 
     alphas = {r: skel.weight(r) for r in cfg.selected_joints}
     sel_idx = [skel.index(r) for r in cfg.selected_joints]
     sel_alpha = np.array([alphas[r] for r in cfg.selected_joints])
+    effort_roles = set(cfg.selected_joints) | set(EFFORT_ROLES)
+    pelvis_idx = skel.index("pelvis")
 
-    init_roles = ("left_hand", "right_hand", "left_foot", "right_foot")
-    init_pred = {r: _initiation_predicates(seq, r, cfg) for r in init_roles}
+    cols = [win(prim.distances).mean(axis=-1), win(prim.angles).mean(axis=-1)]
+
+    # the predicates stop one frame short, so the last window may be shorter
+    ends = np.minimum(starts + w, T - 1)
+    for r in ("left_hand", "right_hand", "left_foot", "right_foot"):
+        fired = np.concatenate([[0], np.cumsum(_initiation_predicates(seq, r, cfg))])
+        cols.append((fired[ends] - fired[starts]) / (ends - starts))
+
+    w_inner = max(2, w // 5)
+    ratios = {
+        r: _effort_space_ratios(seq.joint(r), starts, w, w_inner, cfg.epsilon_net)
+        for r in effort_roles
+    }
+    cols += [ratios[r] for r in EFFORT_ROLES]
+    cols.append(sum(alphas[r] * ratios[r] for r in cfg.selected_joints))
 
     # per-frame weighted aggregates over the selected joints
     energy = 0.5 * (sel_alpha[None, :] * prim.speed[:, sel_idx] ** 2).sum(axis=1)
     accel_sum = (sel_alpha[None, :] * prim.accel_mag[:, sel_idx]).sum(axis=1)
+    for x in (energy, accel_sum):
+        cols += [win(x).mean(axis=-1), win(x).max(axis=-1)]
 
-    pelvis_idx = skel.index("pelvis")
-    heights = height_above_floor(seq.positions[:, pelvis_idx, :], plane)
-    effort_tracks = {r: seq.positions[:, skel.index(r), :] for r in set(cfg.selected_joints) | set(EFFORT_ROLES)}
+    jerk = {r: win(prim.jerk_mag[:, skel.index(r)]).mean(axis=-1) for r in effort_roles}
+    cols += [jerk[r] for r in EFFORT_ROLES]
+    cols.append(sum(alphas[r] * jerk[r] for r in cfg.selected_joints))
+
+    vol = win(prim.volume)
+    cols += [vol.mean(axis=-1), vol.std(axis=-1), vol.min(axis=-1), vol.max(axis=-1)]
+    for x in (prim.dispersion_upper, prim.dispersion_lower):
+        cols += [win(x).mean(axis=-1), win(x).std(axis=-1)]
+
+    path = win(prim.step_len[:, pelvis_idx], w - 1).sum(axis=-1)
+    net = _vector_norms(pos[starts + w - 1, pelvis_idx] - pos[starts, pelvis_idx])
+    cols += [path, net, np.where(path < 1e-12, 0.0, path / np.maximum(net, cfg.epsilon_net))]
+    curv = win(prim.pelvis_curvature)
+    cols += [curv.mean(axis=-1), curv.max(axis=-1)]
+
     travel_idx = [skel.index(r) for r in EFFORT_ROLES]
+    cols.append(win(prim.step_len[:, travel_idx], w - 1).sum(axis=-1))
 
-    out = []
-    for s, e in spans:
-        row = np.empty(55)
-        i = 0
-        row[i : i + 8] = prim.distances[s:e].mean(axis=0)
-        i += 8
-        row[i : i + 6] = prim.angles[s:e].mean(axis=0)
-        i += 6
-        for r in init_roles:
-            pred = init_pred[r][s : min(e, seq.n_frames - 1)]
-            row[i] = float(pred.mean()) if len(pred) else 0.0
-            i += 1
-        ratios = {
-            r: _effort_space_ratio(effort_tracks[r], s, e, w_inner, cfg.epsilon_net)
-            for r in effort_tracks
-        }
-        for r in EFFORT_ROLES:
-            row[i] = ratios[r]
-            i += 1
-        row[i] = sum(alphas[r] * ratios[r] for r in cfg.selected_joints)
-        i += 1
-        row[i] = energy[s:e].mean()
-        row[i + 1] = energy[s:e].max()
-        i += 2
-        row[i] = accel_sum[s:e].mean()
-        row[i + 1] = accel_sum[s:e].max()
-        i += 2
-        for r in EFFORT_ROLES:
-            row[i] = prim.jerk_mag[s:e, skel.index(r)].mean()
-            i += 1
-        row[i] = float(
-            sum(alphas[r] * prim.jerk_mag[s:e, skel.index(r)].mean() for r in cfg.selected_joints)
-        )
-        i += 1
-        vol = prim.volume[s:e]
-        row[i : i + 4] = [vol.mean(), vol.std(), vol.min(), vol.max()]
-        i += 4
-        du = prim.dispersion_upper[s:e]
-        dl = prim.dispersion_lower[s:e]
-        row[i : i + 4] = [du.mean(), du.std(), dl.mean(), dl.std()]
-        i += 4
-        path = float(prim.step_len[s : e - 1, pelvis_idx].sum())
-        net = float(np.linalg.norm(seq.positions[e - 1, pelvis_idx] - seq.positions[s, pelvis_idx]))
-        ratio = 0.0 if path < 1e-12 else path / max(net, cfg.epsilon_net)
-        row[i : i + 3] = [path, net, ratio]
-        i += 3
-        curv = prim.pelvis_curvature[s:e]
-        row[i : i + 2] = [curv.mean(), curv.max()]
-        i += 2
-        row[i : i + 5] = prim.step_len[s : e - 1, travel_idx].sum(axis=0)
-        i += 5
-        h = heights[s:e]
-        row[i : i + 3] = [h.mean(), h.min(), h.max()]
-        i += 3
-        assert i == 55
-        out.append(
-            WindowFeatures(values=row, window_start=s, label=seq.label, group_id=seq.group_id)
-        )
-    return out
+    h = win(height_above_floor(pos[:, pelvis_idx, :], plane))
+    cols += [h.mean(axis=-1), h.min(axis=-1), h.max(axis=-1)]
+
+    values = np.column_stack(cols)
+    return [
+        WindowFeatures(values=row, window_start=int(s), label=seq.label, group_id=seq.group_id)
+        for row, s in zip(values, starts)
+    ]
 
 
 CSV_EXTRA_COLUMNS = ("label", "group_id", "window_start")
@@ -386,9 +384,14 @@ def read_features_csv(path):
             if not row:
                 continue
             if len(row) != 58:
-                raise SchemaError(f"feature CSV row has {len(row)} columns, expected 58")
-            X.append([float(v) for v in row[:55]])
+                raise SchemaError(
+                    f"{path}:{reader.line_num}: feature CSV row has {len(row)} columns, expected 58"
+                )
+            try:
+                X.append([float(v) for v in row[:55]])
+                starts.append(int(row[57]))
+            except ValueError as e:
+                raise SchemaError(f"{path}:{reader.line_num}: non-numeric feature CSV cell: {e}") from e
             labels.append(row[55] or None)
             groups.append(row[56])
-            starts.append(int(row[57]))
     return np.array(X), labels, groups, starts

@@ -228,8 +228,6 @@ def train(data, params, n_threads=1):
     X, y = data.X, data.y
     if X.shape[0] < 2:
         raise LmaError("need at least 2 training samples")
-    if len(np.unique(y)) < 1:
-        raise LmaError("empty training data")
     n_classes = len(data.class_names)
 
     def fit_one(i):

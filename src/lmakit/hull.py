@@ -1,75 +1,138 @@
-"""3D convex hull (quickhull) and hull volume.
+"""Exact 3D convex hull of a small point set, by supporting-plane enumeration.
+
+Every triple of points spans a candidate plane, and one matrix product tests
+each plane against all points: the planes with every point on one side are
+the hull's faces.  The points lying on one face (the four corners of a cube
+face, or extra points on it) are merged into one convex polygon, so the
+facets are watertight and the volume exact however many points are coplanar.
+The work grows as n^4 in the point count, which suits skeleton frames of
+tens of joints.
 
 Degenerate inputs (fewer than 4 points, collinear or coplanar sets) have a
 well-defined volume of 0 rather than raising.
 """
 
+import functools
+from itertools import combinations
+
 import numpy as np
 
 from .errors import LmaError
 
-_DEGENERATE_EPS = 1e-12
+# Plane distances within this much, times max(1, extent), count as on-plane.
+_REL_TOL = 1e-10
+# Triples tested per matrix product; bounds the temporaries for large n.
+_BLOCK = 8192
 
 
-class _Face:
-    __slots__ = ("tri", "normal", "offset", "outside", "alive")
-
-    def __init__(self, tri, normal, offset):
-        self.tri = tri
-        self.normal = normal
-        self.offset = offset
-        self.outside = []  # point indices strictly above this face
-        self.alive = True
-
-
-def _oriented_face(pts, tri, interior):
-    a, b, c = pts[tri[0]], pts[tri[1]], pts[tri[2]]
-    n = np.cross(b - a, c - a)
-    nn = np.linalg.norm(n)
-    if nn == 0.0:
-        return None
-    n = n / nn
-    off = float(n @ a)
-    if float(n @ interior) - off > 0.0:
-        n, off = -n, -off
-        tri = (tri[0], tri[2], tri[1])
-    return _Face(tri, n, off)
+@functools.lru_cache(maxsize=64)
+def _triple_blocks(n):
+    """The C(n, 3) index triples i < j < k, as read-only (3, m) blocks of
+    at most _BLOCK columns."""
+    tri = np.array(list(combinations(range(n), 3)), dtype=np.intp).reshape(-1, 3).T
+    blocks = tuple(np.ascontiguousarray(tri[:, s : s + _BLOCK]) for s in range(0, tri.shape[1], _BLOCK))
+    for block in blocks:
+        block.setflags(write=False)
+    return blocks
 
 
-def _initial_simplex(pts, tol):
+def _corners(coords, index):
+    """(3 corners, 3 axes, m) coordinates of the (3, m) index triples, from
+    (3, n) coordinates.  `np.take` is several times faster than fancy
+    indexing on arrays this small."""
+    return np.take(coords, index.ravel(), axis=1).reshape(3, 3, -1).swapaxes(0, 1)
+
+
+_NEXT, _AFTER = np.array([1, 2, 0]), np.array([2, 0, 1])
+
+
+def _cross(u, v):
+    """Cross products of the columns of two (3, m) arrays."""
+    return u.take(_NEXT, axis=0) * v.take(_AFTER, axis=0) - u.take(_AFTER, axis=0) * v.take(_NEXT, axis=0)
+
+
+def _polygon(pts, idx, normal, area_tol):
+    """Convex polygon of the coplanar points `idx`, counter-clockwise seen
+    from the side `normal` points to.
+
+    Coincident points keep their lowest index and points on an edge or
+    inside are dropped, so every face that shares an edge names it alike.
+    """
+    first = {}
+    for i in idx:
+        first.setdefault(tuple(pts[i].tolist()), i)
+    idx = sorted(first.values())
+    origin = pts[idx[0]]
+    rel = pts[idx] - origin
+    e1 = rel[np.argmax(np.einsum("ij,ij->i", rel, rel))]
+    e1 = e1 / np.linalg.norm(e1)
+    e2 = np.cross(normal / np.linalg.norm(normal), e1)
+    xy = [(float(p @ e1), float(p @ e2), i) for p, i in zip(rel, idx)]
+    xy.sort()
+
+    def turn(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+    # Andrew's monotone chain: lower then upper boundary.
+    chain = []
+    for seq in (xy, xy[::-1]):
+        part = []
+        for p in seq:
+            while len(part) >= 2 and turn(part[-2], part[-1], p) <= area_tol:
+                part.pop()
+            part.append(p)
+        chain.extend(part[:-1])
+    return [p[2] for p in chain]
+
+
+def _hull_triangles(pts):
+    """Outward-oriented (k, 3) vertex-index triangles of the hull, or None
+    when the points span no volume."""
     n = len(pts)
-    # two extreme points: farthest pair among the six axis extremes
-    ext = set()
-    for ax in range(3):
-        ext.add(int(np.argmin(pts[:, ax])))
-        ext.add(int(np.argmax(pts[:, ax])))
-    ext = sorted(ext)
-    best, pair = -1.0, None
-    for i in ext:
-        for j in ext:
-            d = float(np.linalg.norm(pts[i] - pts[j]))
-            if d > best:
-                best, pair = d, (i, j)
-    if best <= tol:
+    if n < 4:
         return None
-    i0, i1 = pair
-    # farthest from the line i0-i1
-    u = pts[i1] - pts[i0]
-    u = u / np.linalg.norm(u)
-    rel = pts - pts[i0]
-    perp = rel - np.outer(rel @ u, u)
-    d_line = np.linalg.norm(perp, axis=1)
-    i2 = int(np.argmax(d_line))
-    if d_line[i2] <= tol:
-        return None
-    # farthest from the plane i0-i1-i2
-    nrm = np.cross(pts[i1] - pts[i0], pts[i2] - pts[i0])
-    nrm = nrm / np.linalg.norm(nrm)
-    d_plane = (pts - pts[i0]) @ nrm
-    i3 = int(np.argmax(np.abs(d_plane)))
-    if abs(d_plane[i3]) <= tol:
-        return None
-    return i0, i1, i2, i3
+    lo = pts.min(axis=0)
+    extent = max(1.0, float((pts.max(axis=0) - lo).max()))
+    pts = pts - lo  # plane offsets are tested near the origin
+    coords = np.ascontiguousarray(pts.T)
+    tol = _REL_TOL * extent
+    area_tol = tol * extent
+    triangles, merged, seen = [], [], set()
+    for block in _triple_blocks(n):
+        a, b, c = _corners(coords, block)
+        normal = _cross(b - a, c - a)
+        length = np.sqrt(np.einsum("ij,ij->j", normal, normal))
+        # side[p, t]: distance of point p from triple t's plane, times length[t]
+        side = pts @ normal - np.einsum("ij,ij->j", normal, a)
+        margin = tol * length
+        below = side.max(axis=0) <= margin
+        above = side.min(axis=0) >= -margin
+        # supporting, spanned by non-collinear points, and not holding every point
+        face = np.flatnonzero((below != above) & (length > area_tol))
+        on = np.abs(side[:, face]) <= margin[face]
+        plain = on.sum(axis=0) == 3
+        tri = block[:, face]
+        tri = np.where(below[face], tri, tri[[0, 2, 1]])
+        triangles.append(tri[:, plain].T)
+        for k in np.flatnonzero(~plain):
+            key = on[:, k].tobytes()
+            if key not in seen:
+                seen.add(key)
+                outward = normal[:, face[k]] * (1.0 if below[face[k]] else -1.0)
+                poly = _polygon(pts, np.flatnonzero(on[:, k]), outward, area_tol)
+                merged.extend((poly[0], poly[i], poly[i + 1]) for i in range(1, len(poly) - 1))
+    triangles.append(np.array(merged, dtype=np.intp).reshape(-1, 3))
+    triangles = np.concatenate(triangles)
+    return triangles if len(triangles) else None
+
+
+def _checked(points):
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != 3:
+        raise LmaError(f"expected N x 3 points, got {pts.shape}")
+    if not np.all(np.isfinite(pts)):
+        raise LmaError("hull input contains non-finite coordinates")
+    return pts
 
 
 def convex_hull_facets(points):
@@ -77,116 +140,21 @@ def convex_hull_facets(points):
 
     Returns None when the point set is degenerate (volume 0).
     """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 3:
-        raise LmaError(f"expected N x 3 points, got {pts.shape}")
-    if not np.all(np.isfinite(pts)):
-        raise LmaError("hull input contains non-finite coordinates")
-    if len(pts) < 4:
+    triangles = _hull_triangles(_checked(points))
+    if triangles is None:
         return None
-    scale = float(np.max(np.ptp(pts, axis=0)))
-    tol = _DEGENERATE_EPS * max(1.0, scale)
-    simplex = _initial_simplex(pts, tol)
-    if simplex is None:
-        return None
-    interior = pts[list(simplex)].mean(axis=0)
-
-    faces = []
-    for skip in range(4):
-        tri = tuple(simplex[k] for k in range(4) if k != skip)
-        face = _oriented_face(pts, tri, interior)
-        faces.append(face)
-
-    vis_tol = max(tol, 1e-10 * max(1.0, scale))
-
-    def assign(face, idx):
-        if len(idx) == 0:
-            return
-        d = pts[idx] @ face.normal - face.offset
-        above = d > vis_tol
-        if above.any():
-            order = np.argsort(-d[above], kind="stable")
-            face.outside = [int(i) for i in np.asarray(idx)[above][order]]
-        else:
-            face.outside = []
-
-    all_idx = np.array([i for i in range(len(pts)) if i not in simplex], dtype=int)
-    claimed = set()
-    for face in faces:
-        free = np.array([i for i in all_idx if i not in claimed], dtype=int)
-        assign(face, free)
-        claimed.update(face.outside)
-
-    stack = [f for f in faces if f.outside]
-    while stack:
-        face = stack.pop()
-        if not face.alive or not face.outside:
-            continue
-        apex = face.outside[0]
-        p = pts[apex]
-        # find all faces visible from the apex
-        visible = []
-        seen = set()
-        queue = [face]
-        seen.add(id(face))
-        while queue:
-            f = queue.pop()
-            if not f.alive:
-                continue
-            if float(f.normal @ p) - f.offset > vis_tol:
-                visible.append(f)
-                for g in faces:
-                    if g.alive and id(g) not in seen and _shares_edge(f, g):
-                        seen.add(id(g))
-                        queue.append(g)
-        # horizon: edges of visible faces bordering a non-visible face
-        vis_ids = {id(f) for f in visible}
-        edge_count = {}
-        edge_dir = {}
-        for f in visible:
-            t = f.tri
-            for a, b in ((t[0], t[1]), (t[1], t[2]), (t[2], t[0])):
-                key = (a, b) if a < b else (b, a)
-                edge_count[key] = edge_count.get(key, 0) + 1
-                edge_dir[key] = (a, b)
-        horizon = [edge_dir[k] for k, c in edge_count.items() if c == 1]
-
-        orphan = []
-        for f in visible:
-            f.alive = False
-            orphan.extend(i for i in f.outside if i != apex)
-        orphan = np.array(sorted(set(orphan)), dtype=int)
-
-        new_faces = []
-        for a, b in horizon:
-            nf = _oriented_face(pts, (a, b, apex), interior)
-            if nf is not None:
-                new_faces.append(nf)
-        remaining = orphan
-        for nf in new_faces:
-            assign(nf, remaining)
-            if nf.outside:
-                taken = set(nf.outside)
-                remaining = np.array([i for i in remaining if i not in taken], dtype=int)
-        faces = [f for f in faces if f.alive] + new_faces
-        stack.extend(f for f in new_faces if f.outside)
-
-    return [f.tri for f in faces if f.alive]
-
-
-def _shares_edge(f, g):
-    return len(set(f.tri) & set(g.tri)) == 2
+    return [tuple(int(i) for i in tri) for tri in triangles]
 
 
 def hull_volume(points):
-    """Volume of the convex hull, by signed tetrahedra from the centroid."""
-    pts = np.asarray(points, dtype=float)
-    facets = convex_hull_facets(pts)
-    if facets is None:
+    """Volume of the convex hull, by signed tetrahedra from the centroid of
+    the hull's vertices."""
+    pts = _checked(points)
+    triangles = _hull_triangles(pts)
+    if triangles is None:
         return 0.0
-    verts = sorted({i for tri in facets for i in tri})
-    c = pts[verts].mean(axis=0)
-    vol = 0.0
-    for a, b, d in facets:
-        vol += float(np.dot(pts[a] - c, np.cross(pts[b] - c, pts[d] - c)))
-    return abs(vol) / 6.0
+    vertex = np.zeros(len(pts), dtype=bool)
+    vertex[triangles] = True
+    rel = pts - pts[vertex].mean(axis=0)
+    a, b, c = _corners(np.ascontiguousarray(rel.T), triangles.T)
+    return abs(float(np.einsum("ij,ij->", a, _cross(b, c)))) / 6.0

@@ -71,6 +71,8 @@ class JointSequence:
 
 
 def _parse_header(obj, path):
+    if not isinstance(obj, dict):
+        raise SequenceFormatError("header must be a JSON object", path, 1)
     if obj.get("format_version") != FORMAT_VERSION:
         raise SequenceFormatError(
             f"unsupported format_version {obj.get('format_version')!r}", path, 1
@@ -141,11 +143,23 @@ def load_sequence(path, skeleton=None):
             )
         frame = np.empty((skel.n_joints, 3))
         for j, trip in enumerate(row):
-            if not isinstance(trip, list) or len(trip) != 3:
+            # bool is an int subclass, so compare exact types
+            if (
+                not isinstance(trip, list)
+                or len(trip) != 3
+                or not all(v is None or type(v) in (int, float) for v in trip)
+            ):
                 raise SequenceFormatError(
-                    f"frame {lineno - 2}, joint {j}: expected [x, y, z]", path, lineno
+                    f"frame {lineno - 2}, joint {j}: expected [x, y, z] of numbers or null",
+                    path,
+                    lineno,
                 )
-            frame[j] = [math.nan if v is None else float(v) for v in trip]
+            try:
+                frame[j] = [math.nan if v is None else float(v) for v in trip]
+            except OverflowError as e:
+                raise SequenceFormatError(
+                    f"frame {lineno - 2}, joint {j}: coordinate out of range", path, lineno
+                ) from e
         frames.append(frame)
     if len(frames) < 2:
         raise SequenceFormatError("T >= 2 required", path)

@@ -212,3 +212,95 @@ def test_window_longer_than_sequence_exit_2(ws, tmp_path):
     seq = sorted((ws / "corpus").glob("*.jsonl"))[0]
     out = tmp_path / "o2"
     assert main(["--out", str(out), "extract", "--w", "999", str(seq)]) == 2
+
+
+def test_extract_manifest_records_fps_and_degenerate_hulls(ws, tmp_path):
+    from conftest import make_sequence, static_pose_positions
+    from lmakit.sequence import save_sequence
+
+    manifest = json.loads((ws / "feats" / "manifest.json").read_text())
+    assert len(manifest["fps"]) == 30 and set(manifest["fps"].values()) == {60.0}
+    assert manifest["diagnostics"] == {"degenerate_hull_frames": 0}
+
+    flat = static_pose_positions(12)
+    flat[..., 2] = 0.0  # every frame coplanar: hull volume 0
+    path = tmp_path / "flat.jsonl"
+    save_sequence(make_sequence(flat), path)
+    out = tmp_path / "o"
+    assert main(["--out", str(out), "extract", "--w", "5", str(path)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["fps"] == {str(path): 60.0}
+    assert manifest["diagnostics"]["degenerate_hull_frames"] == 12
+
+
+@pytest.mark.parametrize("command", [["extract"], ["sweep", "--sizes", "10"]])
+def test_mixed_frame_rates_exit_2(ws, tmp_path, capsys, command):
+    slow = tmp_path / "slow"
+    assert main(["--seed", "7", "--out", str(slow), "synth", "--per-style", "3",
+                 "--duration", "1.0", "--fps", "30"]) == 0
+    fast_seq = sorted((ws / "corpus").glob("*.jsonl"))[0]
+    slow_seq = sorted(slow.glob("*.jsonl"))[0]
+    capsys.readouterr()
+    assert main(["--out", str(tmp_path / "o"), *command, str(fast_seq), str(slow_seq)]) == 2
+    err = capsys.readouterr().err
+    assert "mixed frame rates" in err and str(fast_seq) in err and str(slow_seq) in err
+
+
+@pytest.mark.parametrize("coordinate", ["true", '"1.0"', '"abc"'])
+def test_non_numeric_coordinate_exit_2(ws, tmp_path, capsys, coordinate):
+    src = sorted((ws / "corpus").glob("*.jsonl"))[0]
+    lines = Path(src).read_text().split("\n")
+    frame = json.loads(lines[4])
+    lines[4] = json.dumps(frame).replace(json.dumps(frame[2][0]), coordinate, 1)
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join(lines))
+    assert main(["--out", str(tmp_path / "o"), "extract", "--w", "10", str(bad)]) == 2
+    assert "bad.jsonl:5" in capsys.readouterr().err
+
+
+@pytest.fixture()
+def bad_csv(ws, tmp_path):
+    lines = (ws / "feats" / "features.csv").read_text().split("\n")
+    cells = lines[3].split(",")
+    cells[7] = "n/a"
+    lines[3] = ",".join(cells)
+    path = tmp_path / "bad.csv"
+    path.write_text("\n".join(lines))
+    return path
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "explain"])
+def test_non_numeric_feature_cell_exit_2(ws, tmp_path, capsys, bad_csv, command):
+    model = str(ws / "model" / "model.json")
+    argv = [str(bad_csv)] if command == "train" else [model, str(bad_csv)]
+    assert main(["--out", str(tmp_path / "o"), command, *argv]) == 2
+    assert "bad.csv:4" in capsys.readouterr().err
+
+
+def test_eval_refuses_model_with_other_feature_schema(ws, tmp_path, capsys):
+    payload = json.loads((ws / "model" / "model.json").read_text())
+    payload["feature_names"][0] = "renamed"
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(payload))
+    out = tmp_path / "o"
+    assert main(["--out", str(out), "eval", str(model), str(ws / "feats" / "features.csv")]) == 2
+    assert "schema" in capsys.readouterr().err
+
+
+def test_metrics_macro_row_has_total_support(ws, tmp_path):
+    import csv as _csv
+
+    out = tmp_path / "eval"
+    assert main(["--out", str(out), "eval",
+                 str(ws / "model" / "model.json"), str(ws / "feats" / "features.csv")]) == 0
+    with open(out / "metrics.csv", encoding="utf-8") as fh:
+        rows = list(_csv.DictReader(fh))
+    assert rows[-1]["class"] == "macro"
+    assert int(rows[-1]["support"]) == sum(int(r["support"]) for r in rows[:-1]) == 30 * 3
+
+
+def test_non_numeric_cloud_line_exit_2(tmp_path, capsys):
+    cloud = tmp_path / "cloud.txt"
+    cloud.write_text("0 0.1 0.2\n0 zero 0.3\n")
+    assert main(["--out", str(tmp_path / "o"), "floor", str(cloud)]) == 2
+    assert "cloud.txt:2" in capsys.readouterr().err

@@ -525,3 +525,82 @@ def test_csv_schema_mismatch_rejected(tmp_path):
     path.write_text("a,b,c\n1,2,3\n", encoding="utf-8")
     with pytest.raises(SchemaError):
         read_features_csv(path)
+
+
+# --- whole-array assembly against a per-window reference ------------------
+
+
+def _reference_rows(seq, prim, plane, cfg):
+    """The 55 slots window by window with plain slicing: the per-window loop
+    that the whole-array assembly replaces, kept as its reference."""
+    from lmakit.features import EFFORT_ROLES
+    from lmakit.floor import height_above_floor
+
+    skel, pos, T = seq.skeleton, seq.positions, seq.n_frames
+    w = cfg.window.w
+    w_inner = max(2, w // 5)
+    alpha = {r: skel.weight(r) for r in cfg.selected_joints}
+    sel = [skel.index(r) for r in cfg.selected_joints]
+    sel_alpha = np.array([alpha[r] for r in cfg.selected_joints])
+    energy = 0.5 * (sel_alpha[None, :] * prim.speed[:, sel] ** 2).sum(axis=1)
+    accel = (sel_alpha[None, :] * prim.accel_mag[:, sel]).sum(axis=1)
+    p = skel.index("pelvis")
+    heights = height_above_floor(pos[:, p, :], plane)
+    pred = {r: _initiation_predicates(seq, r, cfg)
+            for r in ("left_hand", "right_hand", "left_foot", "right_foot")}
+
+    def ratio(track, s, e):
+        k_max = (e - 1 - s) // w_inner
+        samples = track[s : s + k_max * w_inner + 1 : w_inner]
+        chords = float(np.sum(np.linalg.norm(np.diff(samples, axis=0), axis=1)))
+        net = float(np.linalg.norm(samples[-1] - samples[0]))
+        return 0.0 if chords < 1e-12 else chords / max(net, cfg.epsilon_net)
+
+    rows = []
+    for s in range(0, T - w + 1, cfg.window.stride):
+        e = s + w
+        ratios = {r: ratio(pos[:, skel.index(r)], s, e)
+                  for r in set(cfg.selected_joints) | set(EFFORT_ROLES)}
+        jerk = {r: prim.jerk_mag[s:e, skel.index(r)].mean()
+                for r in set(cfg.selected_joints) | set(EFFORT_ROLES)}
+        vol, du, dl = prim.volume[s:e], prim.dispersion_upper[s:e], prim.dispersion_lower[s:e]
+        path = float(prim.step_len[s : e - 1, p].sum())
+        net = float(np.linalg.norm(pos[e - 1, p] - pos[s, p]))
+        curv, h = prim.pelvis_curvature[s:e], heights[s:e]
+        rows.append(np.concatenate([
+            prim.distances[s:e].mean(axis=0),
+            prim.angles[s:e].mean(axis=0),
+            [float(v[s : min(e, T - 1)].mean()) for v in pred.values()],
+            [ratios[r] for r in EFFORT_ROLES],
+            [sum(alpha[r] * ratios[r] for r in cfg.selected_joints)],
+            [energy[s:e].mean(), energy[s:e].max(), accel[s:e].mean(), accel[s:e].max()],
+            [jerk[r] for r in EFFORT_ROLES],
+            [sum(alpha[r] * jerk[r] for r in cfg.selected_joints)],
+            [vol.mean(), vol.std(), vol.min(), vol.max()],
+            [du.mean(), du.std(), dl.mean(), dl.std()],
+            [path, net, 0.0 if path < 1e-12 else path / max(net, cfg.epsilon_net)],
+            [curv.mean(), curv.max()],
+            prim.step_len[s : e - 1, [skel.index(r) for r in EFFORT_ROLES]].sum(axis=0),
+            [h.mean(), h.min(), h.max()],
+        ]))
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("w,stride", [(3, 1), (5, 1), (10, 3), (17, 4), (30, 2), (55, 1), (55, 7), (90, 1)])
+def test_assembly_equals_per_window_reference(w, stride):
+    from lmakit.synth import default_styles, generate_corpus
+
+    plane = FloorPlane(slope=0.05, intercept=-0.1)
+    for seq in generate_corpus(default_styles(), per_style=3, duration=1.5, fps=FPS,
+                               master_seed=11)[::7]:
+        prim = SequencePrimitives(seq)
+        cfg = _cfg(w=w, stride=stride)
+        rows = assemble_features(seq, plane=plane, cfg=cfg, primitives=prim)
+        assert [r.window_start for r in rows] == list(range(0, seq.n_frames - w + 1, stride))
+        assert np.array_equal(np.stack([r.values for r in rows]),
+                              _reference_rows(seq, prim, plane, cfg))
+
+
+def test_two_frame_window_too_short_for_chords():
+    with pytest.raises(LmaError, match="too short for inner stride"):
+        assemble_features(make_sequence(static_pose_positions(10)), cfg=_cfg(w=2, stride=1))

@@ -195,3 +195,51 @@ def test_resample_rejects_bad_fps():
     seq = make_sequence(static_pose_positions(10))
     with pytest.raises(SequenceFormatError):
         resample(seq, 0.0)
+
+
+@pytest.mark.parametrize("bad", [True, False, "1.0", "abc", [1.0], {"x": 1}])
+def test_non_numeric_coordinate_rejected_with_location(tmp_path, bad):
+    f = tmp_path / "seq.jsonl"
+
+    def poison(lines):
+        frame = json.loads(lines[2])
+        frame[4][1] = bad
+        lines[2] = json.dumps(frame)
+        return lines
+
+    _write_minimal_file(f, n_frames=3, mutate=poison)
+    with pytest.raises(SequenceFormatError, match=r"numbers or null.*seq\.jsonl:3"):
+        load_sequence(f)
+
+
+def test_integer_coordinates_and_null_accepted(tmp_path):
+    f = tmp_path / "seq.jsonl"
+
+    def ints(lines):
+        frame = json.loads(lines[1])
+        frame[0] = [1, None, -2]
+        lines[1] = json.dumps(frame)
+        return lines
+
+    _write_minimal_file(f, mutate=ints)
+    seq = load_sequence(f)
+    assert seq.positions[0, 0, 0] == 1.0 and math.isnan(seq.positions[0, 0, 1])
+
+
+def test_overflowing_coordinate_rejected(tmp_path):
+    f = tmp_path / "seq.jsonl"
+
+    def huge(lines):
+        lines[1] = lines[1].replace("0.0", "1" + "0" * 400, 1)
+        return lines
+
+    _write_minimal_file(f, mutate=huge)
+    with pytest.raises(SequenceFormatError, match="out of range"):
+        load_sequence(f)
+
+
+def test_non_object_header_rejected(tmp_path):
+    f = tmp_path / "seq.jsonl"
+    _write_minimal_file(f, mutate=lambda lines: ["[1, 2]"] + lines[1:])
+    with pytest.raises(SequenceFormatError, match="JSON object"):
+        load_sequence(f)
