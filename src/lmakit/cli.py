@@ -48,7 +48,6 @@ from .forest import (
     grid_search,
     metrics,
     predict,
-    stratified_group_kfold,
     train,
 )
 from .kinematics import WindowConfig
@@ -337,21 +336,12 @@ def cmd_train(args, file_cfg):
                  ";".join(f"{a:.9g}" for a in r["fold_accuracies"])]
             )
 
-    # pooled out-of-fold predictions give the per-class report
-    folds = stratified_group_kfold(data.y, data.groups, k=args.k, seed=args.seed)
-    y_true, y_pred, grp = [], [], []
-    for tr, te in folds:
-        sub = Dataset(data.X[tr], data.y[tr], tuple(data.groups[i] for i in tr),
-                      data.feature_names, data.class_names)
-        model = train(sub, best, n_threads=args.threads)
-        pred = predict(model, data.X[te])
-        y_true.extend(data.y[te].tolist())
-        y_pred.extend(pred.tolist())
-        grp.extend(data.groups[i] for i in te)
+    # the best point's pooled out-of-fold predictions give the per-class report
+    y_pred = next(r["predictions"] for r in report if r["params"] is best)
     if args.vote:
-        yt, yp = _vote_by_group(y_true, y_pred, grp)
+        yt, yp = _vote_by_group(data.y.tolist(), y_pred.tolist(), data.groups)
     else:
-        yt, yp = np.array(y_true), np.array(y_pred)
+        yt, yp = data.y, y_pred
     rep = metrics(yt, yp, data.class_names)
     print(_report_table(rep, data.class_names))
     _write_metrics_csv(rep, data.class_names, out / "metrics.csv")
@@ -400,6 +390,8 @@ def cmd_sweep(args, file_cfg):
     plane = _floor_for(args, notes)
     min_T = min(s.n_frames for s in seqs)
     sizes = args.sizes
+    if not sizes or None in sizes:
+        raise LmaError(f"--sizes takes window sizes in frames, got {sizes}")
     for w in sizes:
         if w > min_T:
             raise LmaError(f"window {w} exceeds shortest sequence ({min_T} frames)")
@@ -447,15 +439,15 @@ def cmd_explain(args, file_cfg):
     X, labels, groups, _ = read_features_csv(args.features)
     if tuple(model.feature_names) != FEATURE_NAMES:
         raise LmaError("model feature schema does not match the canonical layout")
-    explanations = [tree_shap(model, x) for x in X]
-    write_explanations_csv(explanations, out / "explanations.csv")
-    ranking = summary_rank(explanations)
+    explanation = tree_shap(model, X)
+    write_explanations_csv(explanation, out / "explanations.csv")
+    ranking = summary_rank(explanation)
     write_summary_csv(ranking[: args.top_k], out / "summary.csv")
     # per-class summaries
     with open(out / "summary_per_class.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["class", "feature", "mean_abs_phi", "rank"])
-        stacked = np.stack([np.abs(e.phi) for e in explanations])  # (N, C, F)
+        stacked = np.abs(explanation.phi)  # (N, C, F)
         for c, cname in enumerate(model.class_names):
             mean_abs = stacked[:, c, :].mean(axis=0)
             order = np.lexsort((np.arange(len(FEATURE_NAMES)), -mean_abs))[: args.top_k]

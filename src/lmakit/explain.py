@@ -1,13 +1,16 @@
 """Exact per-prediction attribution for forest models.
 
-`tree_shap` runs the polynomial-time path recursion over each tree, using
-node covers (training sample counts) to weight conditional expectations.
+`tree_shap` runs the polynomial-time path recursion (Lundberg et al. 2020,
+Algorithm 2) over each tree's node arrays, for all rows at once, using node
+covers (training sample counts) to weight conditional expectations.
 `brute_shap` is its exponential-time oracle: the textbook Shapley sum over
-all feature subsets, with the same cover-weighted expectation.  Both target
-the probability output, so attributions plus the base value reproduce
-predict_proba exactly (local accuracy).
+all feature subsets, with the same cover-weighted expectation, walking the
+nested-dict trees.  Both target the probability output, so attributions
+plus the base value reproduce predict_proba exactly (local accuracy).
 """
 
+import csv
+import io
 from dataclasses import dataclass
 from itertools import combinations
 from math import factorial
@@ -15,129 +18,104 @@ from math import factorial
 import numpy as np
 
 from .errors import LmaError
-from .forest import _leaf_distribution, predict, predict_proba
+from .forest import predict
 
 
 @dataclass(frozen=True)
 class ShapExplanation:
-    phi: np.ndarray  # (n_classes, n_features)
+    """Attributions of one row (phi (n_classes, n_features), x (n_features,))
+    or of many (phi (n_rows, n_classes, n_features), x (n_rows, n_features))."""
+
+    phi: np.ndarray
     base: np.ndarray  # (n_classes,)
     x: np.ndarray
     class_names: tuple
     feature_names: tuple
 
     def prediction(self):
-        return self.base + self.phi.sum(axis=1)
+        return self.base + self.phi.sum(axis=-1)
 
 
-def _check_covers(node):
-    if "cover" not in node:
-        raise LmaError("model nodes lack cover counts; retrain with this toolkit")
-    if "feature" in node:
-        _check_covers(node["left"])
-        _check_covers(node["right"])
+# Path-dependent TreeSHAP (Lundberg et al. 2020, Algorithm 2) visits both
+# children of every split, so the path it holds at a leaf -- each distinct
+# split feature with its zero fraction z -- is the same for every row; only
+# the one fractions o (1 if the row follows all of that feature's splits on
+# the path, else 0) depend on the row.  With the paths precomputed per model
+# (`LeafPaths`), a tree is one pass over arrays of (rows, leaves, elements):
+# the permutation weights w are extended element by element, then every
+# element is unwound from them at once, each step elementwise the
+# recursion's own arithmetic.  Two things differ only in rounding: a feature
+# split on twice enters once with its merged fractions, where the recursion
+# unwinds and extends it again, and dummy elements (z = o = 1, which change
+# no attribution) give every path of a tree the same length.
+
+_BLOCK = 1 << 20  # at most this many (row, leaf, feature) cells per pass
 
 
-def _tree_expected_value(node):
-    if "feature" not in node:
-        return _leaf_distribution(node)
-    cl = node["left"]["cover"]
-    cr = node["right"]["cover"]
-    total = cl + cr
-    return (cl * _tree_expected_value(node["left"]) + cr * _tree_expected_value(node["right"])) / total
+def _tree_phi(paths, flat, X):
+    """One tree's attributions of every row of X, shape (rows, C, used features)."""
+    n, (n_leaves, depth), l = len(X), paths.splits.shape, paths.zero.shape[1] - 1
+    follow = (X[:, flat.feature[paths.splits]] <= flat.threshold[paths.splits]) == paths.went_left
+    o = np.ones((n, n_leaves, l + 1))
+    leaf = np.arange(n_leaves)
+    for col in range(depth):
+        o[:, leaf, paths.element_of[:, col]] *= follow[:, :, col]
+
+    w = np.ones((n, n_leaves, 1))
+    for k in range(1, l + 1):
+        i = np.arange(k)
+        grown = np.zeros((n, n_leaves, k + 1))
+        grown[..., :k] = paths.zero[:, k, None] * w * (k - i) / (k + 1)
+        grown[..., 1:] += o[..., k, None] * w * (i + 1) / (k + 1)
+        w = grown
+
+    z, o = paths.zero[:, 1:], o[..., 1:]
+    z_div = np.where(z > 0, z, 1.0)  # z = 0 only on the way to an empty leaf, whose value is 0
+    unwound = np.zeros(o.shape)
+    carry = w[..., l:]
+    for j in range(l - 1, -1, -1):
+        t = carry * (l + 1) / (j + 1)  # o is 0 or 1: the recursion's (j + 1) * o where o = 1
+        unwound += np.where(o != 0.0, t, w[..., j:j + 1] * (l + 1) / (z_div * (l - j)))
+        carry = w[..., j:j + 1] - t * z * (l - j) / (l + 1)
+    scaled = np.zeros((n, n_leaves, len(paths.used) + 1))
+    scaled[:, leaf[:, None], paths.slots[:, 1:]] = unwound * (o - z)
+    return np.matmul(flat.value[paths.leaves].T, scaled)[..., :-1]
 
 
-def _tree_shap_single(tree, x, n_features, n_classes):
-    """Path-dependent recursion; phi has shape (n_features, n_classes)."""
-    phi = np.zeros((n_features, n_classes))
+def tree_shap(model, X):
+    """Exact attribution of predict_proba across the features.
 
-    def extend(d, z, o, w, pd, pz, po):
-        d = d + [pd]
-        z = z + [pz]
-        o = o + [po]
-        w = w + [1.0 if not w else 0.0]
-        l = len(w) - 1
-        for i in range(l - 1, -1, -1):
-            w[i + 1] += po * w[i] * (i + 1) / (l + 1)
-            w[i] = pz * w[i] * (l - i) / (l + 1)
-        return d, z, o, w
-
-    def unwind(d, z, o, w, i):
-        d, z, o, w = list(d), list(z), list(o), list(w)
-        l = len(w) - 1
-        n = w[l]
-        for j in range(l - 1, -1, -1):
-            if o[i] != 0.0:
-                t = w[j]
-                w[j] = n * (l + 1) / ((j + 1) * o[i])
-                n = t - w[j] * z[i] * (l - j) / (l + 1)
-            else:
-                w[j] = w[j] * (l + 1) / (z[i] * (l - j))
-        del d[i], z[i], o[i]
-        w.pop()
-        return d, z, o, w
-
-    def unwound_sum(z, o, w, i):
-        l = len(w) - 1
-        total = 0.0
-        n = w[l]
-        for j in range(l - 1, -1, -1):
-            if o[i] != 0.0:
-                t = n * (l + 1) / ((j + 1) * o[i])
-                total += t
-                n = w[j] - t * z[i] * (l - j) / (l + 1)
-            else:
-                total += w[j] * (l + 1) / (z[i] * (l - j))
-        return total
-
-    def recurse(node, d, z, o, w, pz, po, pd):
-        d, z, o, w = extend(d, z, o, w, pd, pz, po)
-        if "feature" not in node:
-            v = _leaf_distribution(node)
-            for i in range(1, len(d)):
-                s = unwound_sum(z, o, w, i)
-                phi[d[i]] += s * (o[i] - z[i]) * v
-            return
-        f = node["feature"]
-        if x[f] <= node["threshold"]:
-            hot, cold = node["left"], node["right"]
-        else:
-            hot, cold = node["right"], node["left"]
-        iz = io = 1.0
-        k = next((i for i in range(1, len(d)) if d[i] == f), None)
-        if k is not None:
-            iz, io = z[k], o[k]
-            d, z, o, w = unwind(d, z, o, w, k)
-        cover = node["cover"]
-        recurse(hot, d, z, o, w, iz * hot["cover"] / cover, io, f)
-        recurse(cold, d, z, o, w, iz * cold["cover"] / cover, 0.0, f)
-
-    recurse(tree, [], [], [], [], 1.0, 1.0, -1)
-    return phi
-
-
-def tree_shap(model, x):
-    """Exact attribution of predict_proba(x) across the 55 features."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (model.n_features,):
-        raise LmaError(f"expected a {model.n_features}-vector")
-    if not np.all(np.isfinite(x)):
+    `X` is one row or a matrix of rows; each tree is one pass over all of
+    them.  phi has shape (n_classes, n_features) for one row and
+    (n_rows, n_classes, n_features) for a matrix.
+    """
+    X = np.asarray(X, dtype=float)
+    if X.ndim not in (1, 2) or X.shape[-1] != model.n_features:
+        raise LmaError(f"expected rows of {model.n_features} features, got shape {X.shape}")
+    if not np.all(np.isfinite(X)):
         raise LmaError("non-finite input to tree_shap")
-    for t in model.trees:
-        _check_covers(t)
-    phi = np.zeros((model.n_features, model.n_classes))
-    base = np.zeros(model.n_classes)
-    for tree in model.trees:
-        phi += _tree_shap_single(tree, x, model.n_features, model.n_classes)
-        base += _tree_expected_value(tree)
-    n = len(model.trees)
+    flat = model.flat
+    rows = np.atleast_2d(X)
+    phi = np.zeros((len(rows), model.n_classes, model.n_features))
+    for paths in flat.paths:
+        step = max(1, _BLOCK // (len(paths.leaves) * max(paths.zero.shape[1], len(paths.used) + 1)))
+        for start in range(0, len(rows), step):
+            block = slice(start, start + step)
+            phi[block][..., paths.used] += _tree_phi(paths, flat, rows[block])
+    phi /= len(flat.roots)
     return ShapExplanation(
-        phi=(phi / n).T,
-        base=base / n,
-        x=x,
+        phi=phi if X.ndim == 2 else phi[0],
+        base=flat.base.copy(),
+        x=X,
         class_names=model.class_names,
         feature_names=model.feature_names,
     )
+
+
+def _leaf_distribution(node):
+    counts = np.asarray(node["counts"], dtype=float)
+    total = counts.sum()
+    return counts / total if total > 0 else counts
 
 
 def _cond_exp(node, x, subset):
@@ -224,38 +202,63 @@ def permutation_importance(model, data, n_repeats=5, seed=0):
     return means, stds
 
 
+def _stacked(explanations):
+    """(phi (N, C, F), base (N, C), class names, feature names) of one
+    explanation of many rows, or of a list of single-row explanations."""
+    if isinstance(explanations, ShapExplanation):
+        e = explanations
+        phi = e.phi if e.phi.ndim == 3 else e.phi[None]
+        base = np.broadcast_to(e.base, phi.shape[:2])
+    else:
+        if not explanations:
+            raise LmaError("no explanations to summarize")
+        e = explanations[0]
+        for other in explanations:
+            if other.feature_names != e.feature_names or other.class_names != e.class_names:
+                raise LmaError("explanations disagree on schema")
+        phi = np.stack([x.phi for x in explanations])
+        base = np.stack([x.base for x in explanations])
+    if len(phi) == 0:
+        raise LmaError("no explanations to summarize")
+    return phi, base, e.class_names, e.feature_names
+
+
 def summary_rank(explanations):
     """Features ranked by mean |phi| across instances and classes."""
-    if not explanations:
-        raise LmaError("no explanations to summarize")
-    names = explanations[0].feature_names
-    for e in explanations:
-        if e.feature_names != names or e.class_names != explanations[0].class_names:
-            raise LmaError("explanations disagree on schema")
-    stacked = np.stack([np.abs(e.phi) for e in explanations])  # (N, C, F)
-    mean_abs = stacked.mean(axis=(0, 1))
+    phi, _, _, names = _stacked(explanations)
+    mean_abs = np.abs(phi).mean(axis=(0, 1))
     order = np.lexsort((np.arange(len(names)), -mean_abs))
     return [(int(i), names[i], float(mean_abs[i])) for i in order]
 
 
-def write_explanations_csv(explanations, path, instance_ids=None):
-    import csv
+def _csv_cells(*fields):
+    """`fields` as csv.writer puts them on a line, without the line end."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(fields)
+    return buf.getvalue()[:-1]
 
+
+def write_explanations_csv(explanations, path, instance_ids=None):
+    """One line per instance, class and feature, written an instance at a time.
+
+    Name cells are quoted once up front; only the numbers are formatted per line.
+    """
+    phi, base, class_names, feature_names = _stacked(explanations)
+    names = [[_csv_cells(c, f) for f in feature_names] for c in class_names]
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["instance", "class", "feature", "phi", "base"])
-        for n, e in enumerate(explanations):
-            iid = instance_ids[n] if instance_ids else n
-            for c, cname in enumerate(e.class_names):
-                for f, fname in enumerate(e.feature_names):
-                    writer.writerow(
-                        [iid, cname, fname, f"{e.phi[c, f]:.9g}", f"{e.base[c]:.9g}"]
-                    )
+        fh.write("instance,class,feature,phi,base\n")
+        for n in range(len(phi)):
+            # quoted as one cell of a longer line, as the instance cell is
+            iid = _csv_cells(instance_ids[n] if instance_ids else n, "")[:-1]
+            fh.write("".join(
+                f"{iid},{cell},{value:.9g},{b}\n"
+                for cells, row, b in zip(names, phi[n].tolist(),
+                                         [f"{v:.9g}" for v in base[n].tolist()])
+                for cell, value in zip(cells, row)
+            ))
 
 
 def write_summary_csv(ranking, path):
-    import csv
-
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["feature", "mean_abs_phi", "rank"])

@@ -3,12 +3,17 @@ plus grouped stratified k-fold CV, grid search and per-class metrics.
 
 Trees store per-node training sample counts ("cover") so that attribution
 code can weight conditional expectations without revisiting the data.
+Trees are grown and saved as nested dicts; prediction and attribution read
+one flat-array view of them (`FlatForest`), built and checked once per model.
 """
 
 import json
+import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
+from functools import cached_property
 from itertools import product
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -151,6 +156,210 @@ def _grow_tree(X, codes, n_classes, params, rng):
     return build(idx, 0)
 
 
+def _is_int(v):
+    return type(v) is int or (isinstance(v, Integral) and not isinstance(v, bool))
+
+
+def _is_real(v):
+    return isinstance(v, Real) and not isinstance(v, bool)
+
+
+@dataclass(frozen=True)
+class LeafPaths:
+    """One tree's root-to-leaf paths, one row per leaf: the per-leaf tables
+    of path-dependent TreeSHAP, which depend on the model only.
+
+    ``splits[k]`` lists leaf k's ancestors from the root down, right-aligned
+    and padded on the left with the leaf itself, which every row passes;
+    ``went_left`` says which way the path leaves each of them.  A path's
+    distinct split features are its elements.  They fill the last columns of
+    ``slots`` and ``zero``, ordered by each feature's last split on the path;
+    the columns before them are dummies that no split touches.  ``slots``
+    indexes ``used``, the tree's split features (``len(used)`` stands for no
+    feature); ``zero`` is the product of the element's cover fractions along
+    the path (1 for a dummy); ``element_of`` maps split columns to elements.
+    """
+
+    leaves: np.ndarray  # (L,)
+    splits: np.ndarray  # (L, depth)
+    went_left: np.ndarray  # (L, depth)
+    element_of: np.ndarray  # (L, depth)
+    slots: np.ndarray  # (L, elements)
+    zero: np.ndarray  # (L, elements)
+    used: np.ndarray  # (U,)
+
+
+@dataclass(frozen=True)
+class FlatForest:
+    """Every tree of a forest as parallel node arrays, each tree in preorder.
+
+    Node i sends rows with ``x[feature[i]] <= threshold[i]`` to ``left[i]``
+    and the rest to ``right[i]``; ``cover[i]`` counts its training samples.
+    A leaf has feature -1, threshold +inf and itself as both children, so a
+    descent that reaches it stays there; ``value`` holds the leaves' class
+    distributions (zero rows at splits).  ``roots`` and ``depth`` give each
+    tree's root node and depth, and ``base`` is the forest's expected output,
+    the cover-weighted mean leaf value averaged over trees (the SHAP base).
+    ``paths`` adds each tree's `LeafPaths` when TreeSHAP first asks.
+    """
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    cover: np.ndarray
+    value: np.ndarray
+    roots: np.ndarray
+    depth: np.ndarray
+    base: np.ndarray
+
+    @staticmethod
+    def from_trees(trees, n_features, n_classes):
+        """Flatten nested-dict trees, raising SchemaError on any malformed node."""
+        if not trees:
+            raise SchemaError("model has no trees")
+        feature, threshold, left, right, cover, counts, level = ([] for _ in range(7))
+        roots, seen = [], set()
+        no_counts = [0] * n_classes
+
+        def malformed(message):
+            return SchemaError(f"tree {t} node {i - roots[-1]}: {message}")
+
+        for t, tree in enumerate(trees):
+            roots.append(len(feature))
+            stack = [(tree, None, 0)]  # node, (child list, parent index) to link, level
+            while stack:
+                node, link, depth = stack.pop()
+                i = len(feature)
+                if link is not None:
+                    link[0][link[1]] = i
+                if not isinstance(node, dict):
+                    raise malformed(f"expected a node object, got {type(node).__name__}")
+                if id(node) in seen:
+                    raise malformed("node object reached twice; children must form a tree")
+                seen.add(id(node))
+                c = node.get("cover")
+                # a split's threshold can round onto its upper value and leave
+                # an empty child, so a leaf may cover nothing
+                if not _is_int(c) or c < (1 if "feature" in node else 0):
+                    raise malformed(f"cover must be a non-negative integer, positive at a "
+                                    f"split, got {c!r}")
+                cover.append(c)
+                level.append(depth)
+                if "feature" in node:
+                    f, thr = node["feature"], node.get("threshold")
+                    if not _is_int(f) or not 0 <= f < n_features:
+                        raise malformed(f"feature index {f!r} outside 0..{n_features - 1}")
+                    if not _is_real(thr) or not math.isfinite(thr):
+                        raise malformed(f"threshold must be a finite number, got {thr!r}")
+                    feature.append(f)
+                    threshold.append(thr)
+                    left.append(-1)
+                    right.append(-1)
+                    counts.append(no_counts)
+                    stack.append((node.get("right"), (right, i), depth + 1))
+                    stack.append((node.get("left"), (left, i), depth + 1))
+                else:
+                    k = node.get("counts")
+                    if not (isinstance(k, list) and len(k) == n_classes
+                            and (set(map(type, k)) <= {int} or all(map(_is_int, k)))):
+                        raise malformed(f"a leaf needs {n_classes} integer class counts, got {k!r}")
+                    feature.append(-1)
+                    threshold.append(math.inf)
+                    left.append(i)
+                    right.append(i)
+                    counts.append(k)
+
+        feature, left, right = np.array(feature), np.array(left), np.array(right)
+        cover, counts = np.array(cover, dtype=float), np.array(counts, dtype=float)
+        level = np.array(level)
+        roots = np.array(roots)
+        split = feature >= 0
+        negative = (counts < 0).any(axis=1)
+        unbalanced = np.where(split, cover[left] + cover[right], counts.sum(axis=1)) != cover
+        for i in np.flatnonzero(negative | unbalanced)[:1]:
+            t = np.searchsorted(roots, i, side="right") - 1
+            what = ("class counts are negative" if negative[i] else
+                    f"{'child covers' if split[i] else 'class counts'} do not add up to its cover")
+            raise SchemaError(f"tree {t} node {i - roots[t]}: {what}")
+
+        value = np.zeros_like(counts)
+        covered = ~split & (cover > 0)
+        value[covered] = counts[covered] / cover[covered, None]
+        # Cover-weighted expected value of every subtree, deepest level first.
+        expected = value.copy()
+        for d in range(level.max() - 1, -1, -1):
+            nodes = np.flatnonzero(split & (level == d))
+            cl, cr = cover[left[nodes], None], cover[right[nodes], None]
+            expected[nodes] = (cl * expected[left[nodes]] + cr * expected[right[nodes]]) / (cl + cr)
+        return FlatForest(
+            feature=feature,
+            threshold=np.array(threshold, dtype=float),
+            left=left,
+            right=right,
+            cover=cover,
+            value=value,
+            roots=roots,
+            depth=np.maximum.reduceat(level, roots),
+            # sequential sum in tree order, then the mean
+            base=np.cumsum(expected[roots], axis=0)[-1] / len(roots),
+        )
+
+    @cached_property
+    def paths(self):
+        """`LeafPaths` of every tree, built on first use."""
+        parent = np.full(len(self.feature), -1)
+        split = np.flatnonzero(self.feature >= 0)
+        parent[self.left[split]] = split
+        parent[self.right[split]] = split
+        ends = np.append(self.roots[1:], len(self.feature))
+        return tuple(self._leaf_paths(lo, hi, depth, parent)
+                     for lo, hi, depth in zip(self.roots, ends, self.depth))
+
+    def _leaf_paths(self, lo, hi, depth, parent):
+        feature, cover = self.feature, self.cover
+        in_tree = feature[lo:hi]
+        used = np.unique(in_tree[in_tree >= 0])
+        leaves = lo + np.flatnonzero(in_tree < 0)
+        rows = np.arange(len(leaves))
+        splits = np.repeat(leaves[:, None], depth, axis=1)
+        went_left = np.ones(splits.shape, dtype=bool)
+        child = leaves
+        for col in range(depth - 1, -1, -1):
+            up = parent[child]
+            has = up >= 0
+            splits[has, col] = up[has]
+            went_left[has, col] = self.left[up[has]] == child[has]
+            child = np.where(has, up, child)
+
+        # Fold each path's splits into one element per feature, root first:
+        # the zero fraction multiplies up as the recursion's does, and the
+        # element moves to the end of the path at each repeat.
+        f = feature[splits]
+        slot = np.where(f >= 0, np.searchsorted(used, f), len(used))
+        zero = np.ones((len(leaves), len(used) + 1))
+        last = np.full(zero.shape, -1)
+        for col in range(depth):
+            k = rows[f[:, col] >= 0]
+            s, u = splits[k, col], slot[k, col]
+            child = np.where(went_left[k, col], self.left[s], self.right[s])
+            zero[k, u] = zero[k, u] * cover[child] / cover[s]
+            last[k, u] = col
+        n_elements = int((last >= 0).sum(axis=1).max()) + 1
+        order = np.argsort(last, axis=1, kind="stable")[:, -n_elements:]
+        position = np.zeros(zero.shape, dtype=int)
+        np.put_along_axis(position, order, np.arange(n_elements)[None, :], axis=1)
+        return LeafPaths(
+            leaves=leaves,
+            splits=splits,
+            went_left=went_left,
+            element_of=np.take_along_axis(position, slot, axis=1),
+            slots=order,
+            zero=np.take_along_axis(zero, order, axis=1),
+            used=used,
+        )
+
+
 @dataclass(frozen=True)
 class ForestModel:
     trees: tuple
@@ -167,19 +376,15 @@ class ForestModel:
     def n_features(self):
         return len(self.feature_names)
 
+    @cached_property
+    def flat(self):
+        """The trees as one `FlatForest`, built on first use."""
+        return FlatForest.from_trees(self.trees, self.n_features, self.n_classes)
+
     def used_features(self):
         """Sorted distinct feature indices appearing in any split."""
-        used = set()
-
-        def walk(node):
-            if "feature" in node:
-                used.add(node["feature"])
-                walk(node["left"])
-                walk(node["right"])
-
-        for t in self.trees:
-            walk(t)
-        return sorted(used)
+        f = self.flat.feature
+        return np.unique(f[f >= 0]).tolist()
 
     def to_json(self):
         payload = {
@@ -204,19 +409,58 @@ class ForestModel:
 
     @staticmethod
     def load(path):
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-        if payload.get("format_version") != MODEL_FORMAT_VERSION:
-            raise SchemaError(
-                f"unknown model format_version {payload.get('format_version')!r}"
-            )
-        p = payload["params"]
-        return ForestModel(
-            trees=tuple(payload["trees"]),
-            params=ForestParams(**p),
-            feature_names=tuple(payload["feature_names"]),
-            class_names=tuple(payload["class_names"]),
-        )
+        """Read a model file; anything but a well-formed forest raises SchemaError."""
+        try:
+            with open(path, encoding="utf-8") as fh:
+                payload = json.load(fh)
+        except OSError as e:
+            raise LmaError(f"{path}: cannot read model: {e.strerror or e}") from e
+        except (ValueError, RecursionError) as e:
+            raise SchemaError(f"{path}: not a JSON model file: {e}") from e
+        try:
+            model = _model_from_payload(payload)
+            model.flat  # builds and checks the node arrays
+        except LmaError as e:
+            raise SchemaError(f"{path}: {e}") from e
+        return model
+
+
+def _names(payload, key):
+    names = payload.get(key)
+    if not (isinstance(names, list) and names and all(isinstance(n, str) for n in names)
+            and len(set(names)) == len(names)):
+        raise SchemaError(f"'{key}' must be a non-empty list of distinct strings")
+    return tuple(names)
+
+
+def _model_from_payload(payload):
+    if not isinstance(payload, dict):
+        raise SchemaError("a model file holds one JSON object")
+    if payload.get("format_version") != MODEL_FORMAT_VERSION:
+        raise SchemaError(f"unknown model format_version {payload.get('format_version')!r}")
+    p = payload.get("params")
+    if not isinstance(p, dict):
+        raise SchemaError("'params' must be an object")
+    keys = {f.name for f in fields(ForestParams)}
+    if set(p) != keys:
+        raise SchemaError(f"'params' keys {sorted(p)} differ from {sorted(keys)}")
+    for key, v in p.items():
+        if key == "bootstrap":
+            ok = isinstance(v, bool)
+        else:
+            ok = _is_int(v) or (key == "max_depth" and v is None)
+        if not ok:
+            raise SchemaError(f"params.{key} has the wrong type: {v!r}")
+    params = ForestParams(**p)
+    trees = payload.get("trees")
+    if not isinstance(trees, list) or len(trees) != params.n_trees:
+        raise SchemaError(f"'trees' must be a list of params.n_trees = {params.n_trees} trees")
+    return ForestModel(
+        trees=tuple(trees),
+        params=params,
+        feature_names=_names(payload, "feature_names"),
+        class_names=_names(payload, "class_names"),
+    )
 
 
 def _tree_rng(seed, tree_index):
@@ -246,30 +490,26 @@ def train(data, params, n_threads=1):
     )
 
 
-def _leaf_distribution(node):
-    counts = np.asarray(node["counts"], dtype=float)
-    total = counts.sum()
-    return counts / total if total > 0 else counts
-
-
-def _tree_proba(node, x):
-    while "feature" in node:
-        node = node["left"] if x[node["feature"]] <= node["threshold"] else node["right"]
-    return _leaf_distribution(node)
-
-
 def predict_proba(model, X):
-    """Mean of per-tree leaf class frequencies; rows sum to 1."""
+    """Mean of per-tree leaf class frequencies; rows sum to 1.
+
+    All rows descend each tree together, one level per step.
+    """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[1] != model.n_features:
         raise LmaError(f"expected {model.n_features} features, got {X.shape[1]}")
     if not np.all(np.isfinite(X)):
         raise LmaError("non-finite input to predict_proba")
+    flat = model.flat
+    rows = np.arange(X.shape[0])
     out = np.zeros((X.shape[0], model.n_classes))
-    for tree in model.trees:
-        for i, x in enumerate(X):
-            out[i] += _tree_proba(tree, x)
-    return out / len(model.trees)
+    for root, depth in zip(flat.roots, flat.depth):
+        node = np.full(X.shape[0], root)
+        for _ in range(depth):
+            go_left = X[rows, flat.feature[node]] <= flat.threshold[node]
+            node = np.where(go_left, flat.left[node], flat.right[node])
+        out += flat.value[node]
+    return out / len(flat.roots)
 
 
 def predict(model, X):
@@ -324,9 +564,9 @@ def stratified_group_kfold(y, groups, k=3, seed=0):
     return folds
 
 
-def cross_val_accuracy(data, params, k=3, seed=0, n_threads=1):
-    """Per-fold validation accuracies under grouped stratified CV."""
-    folds = stratified_group_kfold(data.y, data.groups, k=k, seed=seed)
+def _out_of_fold(data, params, folds, n_threads):
+    """Out-of-fold class predictions in row order, and per-fold accuracies."""
+    pred = np.empty(len(data.y), dtype=int)
     accs = []
     for train_idx, test_idx in folds:
         sub = Dataset(
@@ -337,9 +577,15 @@ def cross_val_accuracy(data, params, k=3, seed=0, n_threads=1):
             data.class_names,
         )
         model = train(sub, params, n_threads=n_threads)
-        pred = predict(model, data.X[test_idx])
-        accs.append(float(np.mean(pred == data.y[test_idx])))
-    return accs
+        pred[test_idx] = predict(model, data.X[test_idx])
+        accs.append(float(np.mean(pred[test_idx] == data.y[test_idx])))
+    return pred, accs
+
+
+def cross_val_accuracy(data, params, k=3, seed=0, n_threads=1):
+    """Per-fold validation accuracies under grouped stratified CV."""
+    folds = stratified_group_kfold(data.y, data.groups, k=k, seed=seed)
+    return _out_of_fold(data, params, folds, n_threads)[1]
 
 
 def expand_grid(grid):
@@ -352,20 +598,26 @@ def expand_grid(grid):
 
 
 def grid_search(data, grid, k=3, seed=0, n_threads=1):
-    """Evaluate every lattice point; ties prefer fewer trees, then shallower."""
+    """Evaluate every lattice point; ties prefer fewer trees, then shallower.
+
+    Each report entry also keeps the point's pooled out-of-fold predictions
+    ("predictions", class codes in row order).
+    """
     if isinstance(grid, dict):
         grid = expand_grid(grid)
     if not grid:
         raise LmaError("empty parameter grid")
+    folds = stratified_group_kfold(data.y, data.groups, k=k, seed=seed)
     report = []
     for params in grid:
         params = replace(params, seed=seed)
-        accs = cross_val_accuracy(data, params, k=k, seed=seed, n_threads=n_threads)
+        pred, accs = _out_of_fold(data, params, folds, n_threads)
         report.append(
             {
                 "params": params,
                 "fold_accuracies": accs,
                 "mean_accuracy": float(np.mean(accs)),
+                "predictions": pred,
             }
         )
 

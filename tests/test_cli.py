@@ -304,3 +304,74 @@ def test_non_numeric_cloud_line_exit_2(tmp_path, capsys):
     cloud.write_text("0 0.1 0.2\n0 zero 0.3\n")
     assert main(["--out", str(tmp_path / "o"), "floor", str(cloud)]) == 2
     assert "cloud.txt:2" in capsys.readouterr().err
+
+
+def _edit_first_split(payload, **changes):
+    payload["trees"][0].update(changes)
+
+
+def _edit_left_child(payload, **changes):
+    payload["trees"][0]["left"].update(changes)
+
+
+def _first_leaf(payload):
+    node = payload["trees"][0]
+    while "feature" in node:
+        node = node["left"]
+    return node
+
+
+MALFORMED_MODELS = {
+    "feature_index_99": lambda p: _edit_first_split(p, feature=99),
+    "unknown_params_key": lambda p: p["params"].update(colour="red"),
+    "missing_params": lambda p: p.pop("params"),
+    "negative_child_cover": lambda p: _edit_left_child(p, cover=-5),
+    "child_not_a_node": lambda p: _edit_first_split(p, right="leaf"),
+    "negative_count": lambda p: _first_leaf(p)["counts"].__setitem__(0, -1),
+    "child_covers_do_not_add_up": lambda p: _edit_first_split(p, cover=p["trees"][0]["cover"] + 1),
+    "counts_wider_than_classes": lambda p: _first_leaf(p)["counts"].append(0),
+}
+
+
+@pytest.mark.parametrize("command", ["eval", "explain"])
+@pytest.mark.parametrize("case", [*MALFORMED_MODELS, "invalid_json"])
+def test_malformed_model_exit_2(ws, tmp_path, capsys, command, case):
+    model = tmp_path / "model.json"
+    text = (ws / "model" / "model.json").read_text()
+    if case == "invalid_json":
+        model.write_text(text[: len(text) // 2])
+    else:
+        payload = json.loads(text)
+        assert "feature" in payload["trees"][0]
+        MALFORMED_MODELS[case](payload)
+        model.write_text(json.dumps(payload))
+    out = tmp_path / "o"
+    assert main(["--out", str(out), command, str(model), str(ws / "feats" / "features.csv")]) == 2
+    assert str(model) in capsys.readouterr().err
+
+
+def test_sweep_sizes_none_exit_2(ws, tmp_path, capsys):
+    seqs = sorted(str(p) for p in (ws / "corpus").glob("*.jsonl"))
+    assert main(["--out", str(tmp_path / "o"), "sweep", "--sizes", "none", *seqs]) == 2
+    assert "--sizes" in capsys.readouterr().err
+
+
+def test_explanations_csv_matches_per_row_writer(ws, tmp_path):
+    # the CLI's batched explanations, against the per-row recursion written
+    # by the per-row writer
+    from forest_reference import per_row_tree_shap, write_explanations_csv_per_row
+    from lmakit.explain import ShapExplanation
+    from lmakit.features import read_features_csv
+    from lmakit.forest import ForestModel
+
+    out = tmp_path / "explain"
+    assert main(["--out", str(out), "explain",
+                 str(ws / "model" / "model.json"), str(ws / "feats" / "features.csv")]) == 0
+    model = ForestModel.load(ws / "model" / "model.json")
+    X, _, _, _ = read_features_csv(ws / "feats" / "features.csv")
+    rows = []
+    for x in X:
+        phi, base = per_row_tree_shap(model, x)
+        rows.append(ShapExplanation(phi, base, x, model.class_names, model.feature_names))
+    write_explanations_csv_per_row(rows, tmp_path / "reference.csv")
+    assert (out / "explanations.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import subset_shapley_oracle
+from forest_reference import (
+    per_row_tree_shap,
+    random_forest,
+    write_explanations_csv_per_row,
+)
 from lmakit.errors import LmaError
 from lmakit.explain import (
     ShapExplanation,
@@ -243,3 +250,76 @@ def test_csv_writers(tmp_path):
     s = p2.read_text(encoding="utf-8").strip().split("\n")
     assert s[0] == "feature,mean_abs_phi,rank"
     assert s[1].split(",") == ["f1", "0.2", "1"]
+
+
+# --- row-batched TreeSHAP ---------------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_trees=st.integers(1, 3),
+    n_features=st.integers(1, 4),
+    n_classes=st.integers(1, 3),
+    depth=st.integers(0, 5),
+)
+def test_batched_matches_per_row_recursion_and_oracle(seed, n_trees, n_features, n_classes, depth):
+    model, X = random_forest(seed, n_trees, n_features, n_classes, depth)
+    exp = tree_shap(model, X)
+    assert exp.phi.shape == (len(X), n_classes, n_features)
+    for row, phi in zip(X, exp.phi):
+        ref_phi, ref_base = per_row_tree_shap(model, row)
+        np.testing.assert_allclose(phi, ref_phi, rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(exp.base, ref_base)
+        np.testing.assert_allclose(phi, brute_shap(model, row), rtol=0, atol=1e-9)
+    np.testing.assert_allclose(exp.prediction(), predict_proba(model, X), rtol=0, atol=1e-12)
+
+
+def test_batch_rows_equal_single_rows():
+    model, data = _small_forest(seed=2, n_trees=6, max_depth=5)
+    exp = tree_shap(model, data.X[:20])
+    for row, phi in zip(data.X[:20], exp.phi):
+        np.testing.assert_array_equal(tree_shap(model, row).phi, phi)
+
+
+def test_batched_explanation_csv_matches_per_row_writer(tmp_path):
+    model, data = _small_forest(seed=4, n_trees=3, max_depth=3)
+    exp = tree_shap(model, data.X[:9])
+    write_explanations_csv(exp, tmp_path / "batched.csv")
+    write_explanations_csv_per_row([tree_shap(model, x) for x in data.X[:9]], tmp_path / "rows.csv")
+    assert (tmp_path / "batched.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
+def test_csv_quotes_names_like_csv_writer(tmp_path):
+    e = ShapExplanation(
+        phi=np.array([[[0.5, -0.25]]]), base=np.array([0.125]), x=np.zeros((1, 2)),
+        class_names=('a,"b"',), feature_names=("f 0", "f\n1"),
+    )
+    path = tmp_path / "q.csv"
+    write_explanations_csv(e, path, instance_ids=["id,1"])
+    assert path.read_text(encoding="utf-8") == (
+        'instance,class,feature,phi,base\n'
+        '"id,1","a,""b""",f 0,0.5,0.125\n'
+        '"id,1","a,""b""","f\n1",-0.25,0.125\n'
+    )
+
+
+def test_empty_leaf_attributes_finitely():
+    # a split whose threshold rounded onto its upper value leaves one child
+    # covering nothing, as training can produce
+    tree = {
+        "feature": 0, "threshold": 0.5, "cover": 6,
+        "left": {
+            "feature": 1, "threshold": 0.0, "cover": 6,
+            "left": {"counts": [4, 2], "cover": 6},
+            "right": {"counts": [0, 0], "cover": 0},
+        },
+        "right": {"counts": [0, 0], "cover": 0},
+    }
+    model = _hand_model([tree, STUMP])
+    X = np.array([[0.0, -1.0], [0.0, 1.0], [1.0, -1.0], [1.0, 1.0]])
+    exp = tree_shap(model, X)
+    assert np.all(np.isfinite(exp.phi))
+    np.testing.assert_allclose(exp.prediction(), predict_proba(model, X), atol=1e-12)
+    for x, phi in zip(X, exp.phi):
+        np.testing.assert_allclose(phi, brute_shap(model, x), atol=1e-12)

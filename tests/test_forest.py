@@ -1,6 +1,11 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from forest_reference import dict_predict_proba, per_row_tree_shap, random_forest
 from lmakit.errors import LmaError, SchemaError
 from lmakit.forest import (
     Dataset,
@@ -286,3 +291,114 @@ def test_dataset_validation():
         Dataset(np.zeros((2, 2)), np.array([0, 5]), ("g", "g"), ("a", "b"), ("x",))
     with pytest.raises(LmaError):
         Dataset(np.array([[np.nan, 0.0]]), np.array([0]), ("g",), ("a", "b"), ("x",))
+
+
+# --- flat-array forest ----------------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_trees=st.integers(1, 4),
+    n_features=st.integers(1, 4),
+    n_classes=st.integers(1, 3),
+    depth=st.integers(0, 5),
+)
+def test_predict_proba_equals_dict_walk(seed, n_trees, n_features, n_classes, depth):
+    model, X = random_forest(seed, n_trees, n_features, n_classes, depth)
+    np.testing.assert_array_equal(predict_proba(model, X), dict_predict_proba(model, X))
+
+
+def test_trained_predict_proba_equals_dict_walk():
+    data = _blobs()
+    model = train(data, ForestParams(n_trees=10, max_depth=7, seed=4))
+    np.testing.assert_array_equal(predict_proba(model, data.X), dict_predict_proba(model, data.X))
+
+
+def test_flat_base_equals_per_tree_expectation():
+    model, X = random_forest(5, 4, 3, 3, 5)
+    np.testing.assert_array_equal(model.flat.base, per_row_tree_shap(model, X[0])[1])
+
+
+def test_flat_arrays_layout():
+    stump = {"feature": 1, "threshold": 0.5, "cover": 3,
+             "left": {"counts": [2, 0], "cover": 2}, "right": {"counts": [0, 1], "cover": 1}}
+    model = ForestModel((stump, {"counts": [2, 0], "cover": 2}), ForestParams(n_trees=2),
+                        ("f0", "f1"), ("a", "b"))
+    flat = model.flat
+    np.testing.assert_array_equal(flat.feature, [1, -1, -1, -1])
+    np.testing.assert_array_equal(flat.left, [1, 1, 2, 3])
+    np.testing.assert_array_equal(flat.right, [2, 1, 2, 3])
+    np.testing.assert_array_equal(flat.roots, [0, 3])
+    np.testing.assert_array_equal(flat.depth, [1, 0])
+    np.testing.assert_array_equal(flat.value[3], [1.0, 0.0])
+    np.testing.assert_allclose(flat.base, [(2 / 3 + 1.0) / 2, (1 / 3) / 2])
+
+
+def _saved_model():
+    model = train(_blobs(n_per=20), ForestParams(n_trees=3, max_depth=3, seed=1))
+    return json.loads(model.to_json())
+
+
+@pytest.mark.parametrize("case", [
+    "feature_out_of_range", "bool_feature", "nan_threshold", "negative_cover", "empty_split",
+    "cover_sum", "count_sum", "negative_count", "counts_width", "child_not_object", "missing_child",
+    "no_trees", "tree_count", "bad_param_type", "unknown_param", "param_range",
+    "duplicate_class", "not_an_object",
+])
+def test_load_rejects_malformed_model(tmp_path, case):
+    payload = _saved_model()
+    root = payload["trees"][0]
+    assert "feature" in root
+    leaf = root
+    while "feature" in leaf:
+        leaf = leaf["left"]
+    edits = {
+        "feature_out_of_range": lambda: root.update(feature=6),
+        "bool_feature": lambda: root.update(feature=True),
+        "nan_threshold": lambda: root.update(threshold=float("nan")),
+        "negative_cover": lambda: leaf.update(cover=-1),
+        "empty_split": lambda: root.update(cover=0),
+        "cover_sum": lambda: root.update(cover=root["cover"] + 1),
+        "count_sum": lambda: leaf.update(counts=[c + 1 for c in leaf["counts"]]),
+        "negative_count": lambda: leaf.update(counts=[-1] + leaf["counts"][1:]),
+        "counts_width": lambda: leaf.update(counts=leaf["counts"] + [0]),
+        "child_not_object": lambda: root.update(left=[1, 2]),
+        "missing_child": lambda: root.pop("right"),
+        "no_trees": lambda: payload.update(trees=[]),
+        "tree_count": lambda: payload["trees"].pop(),
+        "bad_param_type": lambda: payload["params"].update(n_trees="3"),
+        "unknown_param": lambda: payload["params"].update(colour=1),
+        "param_range": lambda: payload["params"].update(min_samples_leaf=0),
+        "duplicate_class": lambda: payload["class_names"].__setitem__(1, payload["class_names"][0]),
+        "not_an_object": lambda: None,
+    }
+    edits[case]()
+    if case == "not_an_object":
+        payload = [1, 2]
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(SchemaError, match="model.json"):
+        ForestModel.load(path)
+
+
+def test_shared_node_object_rejected():
+    leaf = {"counts": [1, 1], "cover": 2}
+    tree = {"feature": 0, "threshold": 0.0, "cover": 4, "left": leaf, "right": leaf}
+    model = ForestModel((tree,), ForestParams(n_trees=1), ("f0",), ("a", "b"))
+    with pytest.raises(SchemaError, match="twice"):
+        predict_proba(model, np.zeros((1, 1)))
+
+
+def test_grid_search_keeps_out_of_fold_predictions():
+    # the pooled predictions of a refit of every fold, as `train` used to build them
+    data = _blobs(n_per=30)
+    best, report = grid_search(data, {"n_trees": [3, 6], "max_depth": [4]}, k=3, seed=2)
+    for entry in report:
+        expected = np.empty(len(data.y), dtype=int)
+        for tr, te in stratified_group_kfold(data.y, data.groups, k=3, seed=2):
+            sub = Dataset(data.X[tr], data.y[tr], tuple(data.groups[i] for i in tr),
+                          data.feature_names, data.class_names)
+            expected[te] = predict(train(sub, entry["params"]), data.X[te])
+        np.testing.assert_array_equal(entry["predictions"], expected)
+        assert entry["fold_accuracies"] == cross_val_accuracy(data, entry["params"], k=3, seed=2)
