@@ -23,8 +23,8 @@ def main():
     seq = generate(spec, duration=5.0, seed=1)
 
     cfg = LmaConfig(window=WindowConfig(w=55, stride=27))
-    rows = assemble_features(seq, cfg=cfg)
-    print(f"{seq.n_frames} frames -> {len(rows)} windows of {len(FEATURE_NAMES)} features")
+    table = assemble_features(seq, cfg=cfg)
+    print(f"{seq.n_frames} frames -> {len(table)} windows of {len(FEATURE_NAMES)} features")
 
     picks = [
         "dist_hand_hand",
@@ -36,9 +36,9 @@ def main():
         "dispersion_upper_mean",
         "pelvis_path_ratio",
     ]
-    print(f"\n{'feature':26s}" + "".join(f"  win{i}" for i in range(min(4, len(rows)))))
+    print(f"\n{'feature':26s}" + "".join(f"  win{i}" for i in range(min(4, len(table)))))
     for name in picks:
-        vals = "".join(f" {r[name]:5.2f}" for r in rows[:4])
+        vals = "".join(f" {v:5.2f}" for v in table.X[:4, FEATURE_NAMES.index(name)])
         print(f"{name:26s}{vals}")
 
 

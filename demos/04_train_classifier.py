@@ -12,6 +12,7 @@ import numpy as np
 from lmakit import (
     FEATURE_NAMES,
     Dataset,
+    FeatureTable,
     ForestParams,
     LmaConfig,
     WindowConfig,
@@ -28,14 +29,9 @@ from lmakit import (
 def main():
     seqs = generate_corpus(default_styles(), per_style=3, duration=6.0, master_seed=42)
     cfg = LmaConfig(window=WindowConfig(w=55, stride=10))
-    rows = []
-    for seq in seqs:
-        rows.extend(assemble_features(seq, cfg=cfg))
-    X = np.stack([r.values for r in rows])
-    data = Dataset.from_labels(
-        X, [r.label for r in rows], [r.group_id for r in rows], FEATURE_NAMES
-    )
-    print(f"{len(seqs)} recordings -> {X.shape[0]} windows x {X.shape[1]} features")
+    t = FeatureTable.concat(assemble_features(seq, cfg=cfg) for seq in seqs)
+    data = Dataset.from_labels(t.X, t.labels, t.groups, FEATURE_NAMES)
+    print(f"{len(seqs)} recordings -> {len(t)} windows x {len(FEATURE_NAMES)} features")
 
     params = ForestParams(n_trees=20, max_depth=12, seed=42)
     folds = stratified_group_kfold(data.y, data.groups, k=3, seed=42)

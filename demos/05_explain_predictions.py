@@ -12,6 +12,7 @@ import numpy as np
 from lmakit import (
     FEATURE_NAMES,
     Dataset,
+    FeatureTable,
     ForestParams,
     LmaConfig,
     WindowConfig,
@@ -27,20 +28,15 @@ from lmakit import (
 def main():
     seqs = generate_corpus(default_styles(), per_style=3, duration=4.0, master_seed=42)
     cfg = LmaConfig(window=WindowConfig(w=55, stride=30))
-    rows = []
-    for seq in seqs:
-        rows.extend(assemble_features(seq, cfg=cfg))
-    X = np.stack([r.values for r in rows])
-    data = Dataset.from_labels(
-        X, [r.label for r in rows], [r.group_id for r in rows], FEATURE_NAMES
-    )
+    t = FeatureTable.concat(assemble_features(seq, cfg=cfg) for seq in seqs)
+    data = Dataset.from_labels(t.X, t.labels, t.groups, FEATURE_NAMES)
     model = train(data, ForestParams(n_trees=15, max_depth=10, seed=0), n_threads=4)
 
     # explain one "stomp" window
-    i = [r.label for r in rows].index("stomp")
-    exp = tree_shap(model, X[i])
+    i = t.labels.index("stomp")
+    exp = tree_shap(model, t.X[i])
     c = list(model.class_names).index("stomp")
-    proba = predict_proba(model, X[i])[0]
+    proba = predict_proba(model, t.X[i])[0]
     print(f"P(stomp) = {proba[c]:.4f}; base rate = {exp.base[c]:.4f}")
     print(f"additivity gap: {abs(exp.prediction() - proba).max():.2e}\n")
 

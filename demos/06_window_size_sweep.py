@@ -15,6 +15,7 @@ import numpy as np
 from lmakit import (
     FEATURE_NAMES,
     Dataset,
+    FeatureTable,
     ForestParams,
     LmaConfig,
     SequencePrimitives,
@@ -39,13 +40,10 @@ def main():
     accs = []
     for w in sizes:
         cfg = LmaConfig(window=WindowConfig(w=w, stride=10))
-        rows = []
-        for seq, prim in zip(seqs, prims):
-            rows.extend(assemble_features(seq, cfg=cfg, primitives=prim))
-        X = np.stack([r.values for r in rows])
-        data = Dataset.from_labels(
-            X, [r.label for r in rows], [r.group_id for r in rows], FEATURE_NAMES
+        t = FeatureTable.concat(
+            assemble_features(seq, cfg=cfg, primitives=prim) for seq, prim in zip(seqs, prims)
         )
+        data = Dataset.from_labels(t.X, t.labels, t.groups, FEATURE_NAMES)
         acc = float(np.mean(cross_val_accuracy(data, params, k=3, seed=42, n_threads=4)))
         accs.append(acc)
         print(f"w = {w:2d} frames: accuracy {acc:.4f}")

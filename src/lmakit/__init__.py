@@ -7,9 +7,9 @@ __version__ = "0.1.0"
 from .explain import brute_shap, permutation_importance, summary_rank, tree_shap
 from .features import (
     FEATURE_NAMES,
+    FeatureTable,
     LmaConfig,
     SequencePrimitives,
-    WindowFeatures,
     assemble_features,
     read_features_csv,
     write_features_csv,
@@ -39,9 +39,9 @@ __all__ = [
     "summary_rank",
     "tree_shap",
     "FEATURE_NAMES",
+    "FeatureTable",
     "LmaConfig",
     "SequencePrimitives",
-    "WindowFeatures",
     "assemble_features",
     "read_features_csv",
     "write_features_csv",

@@ -34,6 +34,7 @@ from .explain import (
 )
 from .features import (
     FEATURE_NAMES,
+    FeatureTable,
     LmaConfig,
     assemble_features,
     read_features_csv,
@@ -189,12 +190,13 @@ def cmd_extract(args, file_cfg):
     notes = {}
     plane = _floor_for(args, notes)
     seqs = _load_sequences(args.sequences)
-    rows, degenerate = [], 0
+    tables, degenerate = [], 0
     for seq in seqs:
         prim = features.SequencePrimitives(seq)
         degenerate += int(np.count_nonzero(prim.volume == 0.0))
-        rows.extend(assemble_features(seq, plane=plane, cfg=cfg, primitives=prim))
-    write_features_csv(rows, out / "features.csv")
+        tables.append(assemble_features(seq, plane=plane, cfg=cfg, primitives=prim))
+    table = FeatureTable.concat(tables)
+    write_features_csv(table, out / "features.csv")
     config = {
         "window": {"w": cfg.window.w, "stride": cfg.window.stride},
         "lma": {"initiation_scale": cfg.initiation_scale, "epsilon_net": cfg.epsilon_net},
@@ -206,7 +208,7 @@ def cmd_extract(args, file_cfg):
         "diagnostics": {"degenerate_hull_frames": degenerate},
     }
     _write_manifest(out, "extract", config, inputs, args.seed, notes, extra)
-    print(f"wrote {len(rows)} feature rows to {out / 'features.csv'}")
+    print(f"wrote {len(table)} feature rows to {out / 'features.csv'}")
     return 0
 
 
@@ -256,11 +258,15 @@ def cmd_synth(args, file_cfg):
     return 0
 
 
-def _dataset_from_csv(path):
-    X, labels, groups, _ = read_features_csv(path)
-    if any(l is None for l in labels):
-        raise LmaError("feature CSV lacks labels; cannot train/evaluate")
-    return Dataset.from_labels(X, labels, groups, FEATURE_NAMES)
+def _read_rows(path, labelled):
+    """The feature CSV at `path`, refused when it holds no rows, or a row
+    without a label where the command needs labels."""
+    table = read_features_csv(path)
+    if not len(table):
+        raise LmaError(f"{path}: feature CSV has no rows")
+    if labelled and None in table.labels:
+        raise LmaError(f"{path}: feature CSV lacks labels")
+    return table
 
 
 def _forest_grid(args, file_cfg):
@@ -321,7 +327,8 @@ def _vote_by_group(y_true, y_pred, groups):
 def cmd_train(args, file_cfg):
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    data = _dataset_from_csv(args.features)
+    t = _read_rows(args.features, labelled=True)
+    data = Dataset.from_labels(t.X, t.labels, t.groups, FEATURE_NAMES)
     grid = _forest_grid(args, file_cfg)
     best, report = grid_search(data, grid, k=args.k, seed=args.seed, n_threads=args.threads)
 
@@ -364,17 +371,15 @@ def cmd_eval(args, file_cfg):
     model = ForestModel.load(args.model)
     if tuple(model.feature_names) != FEATURE_NAMES:
         raise LmaError("model feature schema does not match the canonical layout")
-    X, labels, groups, _ = read_features_csv(args.features)
-    if any(l is None for l in labels):
-        raise LmaError("feature CSV lacks labels; cannot evaluate")
+    t = _read_rows(args.features, labelled=True)
     code = {c: i for i, c in enumerate(model.class_names)}
-    unknown = sorted({l for l in labels if l not in code})
+    unknown = sorted({l for l in t.labels if l not in code})
     if unknown:
         raise LmaError(f"labels not in model classes: {unknown}")
-    y_true = np.array([code[l] for l in labels])
-    y_pred = predict(model, X)
+    y_true = np.array([code[l] for l in t.labels])
+    y_pred = predict(model, t.X)
     if args.vote:
-        y_true, y_pred = _vote_by_group(y_true.tolist(), y_pred.tolist(), groups)
+        y_true, y_pred = _vote_by_group(y_true.tolist(), y_pred.tolist(), t.groups)
     rep = metrics(y_true, y_pred, model.class_names)
     print(_report_table(rep, model.class_names))
     _write_metrics_csv(rep, model.class_names, out / "metrics.csv")
@@ -405,13 +410,11 @@ def cmd_sweep(args, file_cfg):
     results = []
     for w in sizes:
         cfg = LmaConfig(window=WindowConfig(w=w, stride=args.stride))
-        rows = []
-        for seq, prim in zip(seqs, prims):
-            rows.extend(assemble_features(seq, plane=plane, cfg=cfg, primitives=prim))
-        X = np.stack([r.values for r in rows])
-        labels = [r.label for r in rows]
-        groups = [r.group_id for r in rows]
-        data = Dataset.from_labels(X, labels, groups, FEATURE_NAMES)
+        t = FeatureTable.concat(
+            assemble_features(seq, plane=plane, cfg=cfg, primitives=prim)
+            for seq, prim in zip(seqs, prims)
+        )
+        data = Dataset.from_labels(t.X, t.labels, t.groups, FEATURE_NAMES)
         accs = cross_val_accuracy(data, params, k=args.k, seed=args.seed, n_threads=args.threads)
         results.append((w, float(np.mean(accs)), float(np.std(accs))))
         print(f"w={w}: accuracy {np.mean(accs):.4f} +/- {np.std(accs):.4f}")
@@ -436,7 +439,7 @@ def cmd_explain(args, file_cfg):
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     model = ForestModel.load(args.model)
-    X, labels, groups, _ = read_features_csv(args.features)
+    X = _read_rows(args.features, labelled=False).X
     if tuple(model.feature_names) != FEATURE_NAMES:
         raise LmaError("model feature schema does not match the canonical layout")
     explanation = tree_shap(model, X)

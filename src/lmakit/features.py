@@ -13,12 +13,13 @@ The layout is a frozen schema: every CSV, model and attribution refers to
 slots through FEATURE_NAMES.
 """
 
+import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import LmaError
+from .errors import LmaError, SchemaError
 from .floor import flat_floor, height_above_floor
 from .hull import hull_volume
 from .kinematics import WindowConfig, derivative, windows
@@ -121,24 +122,43 @@ class LmaConfig:
 
 
 @dataclass(frozen=True)
-class WindowFeatures:
-    values: np.ndarray
-    window_start: int
-    label: str | None = None
-    group_id: str = ""
+class FeatureTable:
+    """One row per window: the (n, 55) matrix `X` in the frozen layout, and
+    each row's label (or None), group id and window start frame."""
 
-    layout = FEATURE_NAMES
+    X: np.ndarray
+    labels: tuple
+    groups: tuple
+    starts: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", v)
-        if v.shape != (55,):
-            raise LmaError(f"expected 55 feature values, got {v.shape}")
-        if not np.all(np.isfinite(v)):
+        X = np.asarray(self.X, dtype=float)
+        starts = np.asarray(self.starts, dtype=int)
+        object.__setattr__(self, "X", X)
+        object.__setattr__(self, "labels", tuple(self.labels))
+        object.__setattr__(self, "groups", tuple(self.groups))
+        object.__setattr__(self, "starts", starts)
+        if X.ndim != 2 or X.shape[1] != len(FEATURE_NAMES):
+            raise LmaError(f"expected rows of {len(FEATURE_NAMES)} feature values, got {X.shape}")
+        n = X.shape[0]
+        if len(self.labels) != n or len(self.groups) != n or starts.shape != (n,):
+            raise LmaError("feature rows, labels, groups and starts must agree on the row count")
+        if not np.all(np.isfinite(X)):
             raise LmaError("non-finite feature value")
 
-    def __getitem__(self, name):
-        return float(self.values[FEATURE_NAMES.index(name)])
+    def __len__(self):
+        return self.X.shape[0]
+
+    @staticmethod
+    def concat(tables):
+        """One table with the rows of `tables`, in order."""
+        tables = list(tables)
+        return FeatureTable(
+            np.concatenate([np.empty((0, len(FEATURE_NAMES)))] + [t.X for t in tables]),
+            [l for t in tables for l in t.labels],
+            [g for t in tables for g in t.groups],
+            np.concatenate([np.empty(0, dtype=int)] + [t.starts for t in tables]),
+        )
 
 
 def _angle_at(a, b, c):
@@ -163,16 +183,16 @@ class SequencePrimitives:
 
     def __init__(self, seq):
         seq.require_finite()
-        self.seq = seq
         skel = seq.skeleton
         pos = seq.positions
         dt = seq.dt
-        self.dt = dt
         T = seq.n_frames
 
-        self.vel = derivative(pos, 1, dt).values
-        self.acc = derivative(pos, 2, dt).values
-        self.jerk = derivative(pos, 3, dt).values if T >= 4 else np.zeros_like(pos)
+        if T < 3:
+            raise LmaError(f"track too short for order-2 derivative (T={T})")
+        self.vel = derivative(pos, 1, dt)
+        self.acc = derivative(self.vel, 1, dt)
+        self.jerk = derivative(self.acc, 1, dt) if T >= 4 else np.zeros_like(pos)
         self.speed = np.linalg.norm(self.vel, axis=2)
         self.accel_mag = np.linalg.norm(self.acc, axis=2)
         self.jerk_mag = np.linalg.norm(self.jerk, axis=2)
@@ -270,13 +290,8 @@ def _effort_space_ratios(pos, starts, w, w_inner, epsilon_net):
     return np.where(chords < 1e-12, 0.0, chords / np.maximum(net, epsilon_net))
 
 
-def _effort_space_ratio(pos, start, end, w_inner, epsilon_net):
-    """Path-to-net-displacement ratio over chords tiling one window."""
-    return float(_effort_space_ratios(pos, np.array([start]), end - start, w_inner, epsilon_net)[0])
-
-
 def assemble_features(seq, plane=None, cfg=None, primitives=None):
-    """One WindowFeatures per sliding window, in the frozen 55-slot layout.
+    """One FeatureTable row per sliding window, in the frozen 55-slot layout.
 
     Every slot is reduced over all windows at once, from sliding-window views
     of the per-frame primitives.
@@ -343,36 +358,28 @@ def assemble_features(seq, plane=None, cfg=None, primitives=None):
     h = win(height_above_floor(pos[:, pelvis_idx, :], plane))
     cols += [h.mean(axis=-1), h.min(axis=-1), h.max(axis=-1)]
 
-    values = np.column_stack(cols)
-    return [
-        WindowFeatures(values=row, window_start=int(s), label=seq.label, group_id=seq.group_id)
-        for row, s in zip(values, starts)
-    ]
+    n = len(starts)
+    return FeatureTable(np.column_stack(cols), (seq.label,) * n, (seq.group_id,) * n, starts)
 
 
 CSV_EXTRA_COLUMNS = ("label", "group_id", "window_start")
 
 
-def write_features_csv(feature_rows, path):
+def write_features_csv(table, path):
     """Feature CSV: the 55 canonical names + label/group_id/window_start."""
-    import csv
-
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(list(FEATURE_NAMES) + list(CSV_EXTRA_COLUMNS))
-        for wf in feature_rows:
-            writer.writerow(
-                [f"{v:.9g}" for v in wf.values]
-                + [wf.label or "", wf.group_id, wf.window_start]
+        writer.writerows(
+            [f"{v:.9g}" for v in row] + [label or "", group, start]
+            for row, label, group, start in zip(
+                table.X.tolist(), table.labels, table.groups, table.starts.tolist()
             )
+        )
 
 
 def read_features_csv(path):
-    """Load a feature CSV back into (X, labels, groups, window_starts)."""
-    import csv
-
-    from .errors import SchemaError
-
+    """Load a feature CSV back into a FeatureTable."""
     with open(path, encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -394,4 +401,7 @@ def read_features_csv(path):
                 raise SchemaError(f"{path}:{reader.line_num}: non-numeric feature CSV cell: {e}") from e
             labels.append(row[55] or None)
             groups.append(row[56])
-    return np.array(X), labels, groups, starts
+    try:
+        return FeatureTable(np.reshape(X, (-1, len(FEATURE_NAMES))), labels, groups, starts)
+    except LmaError as e:
+        raise SchemaError(f"{path}: {e}") from e

@@ -79,8 +79,9 @@ class ForestParams:
 def _gini_candidates(values, codes, n_classes, min_leaf):
     """Best (gini, threshold) for one feature at this node, or None.
 
-    Thresholds are midpoints between consecutive distinct sorted values;
-    ties in gini resolve to the lowest threshold.
+    Thresholds are midpoints between consecutive distinct sorted values (the
+    lower one where the midpoint rounds onto the upper, so both sides keep
+    their samples); ties in gini resolve to the lowest threshold.
     """
     order = np.argsort(values, kind="stable")
     v = values[order]
@@ -106,6 +107,8 @@ def _gini_candidates(values, codes, n_classes, min_leaf):
     weighted = np.where(valid, weighted, np.inf)
     k = int(np.argmin(weighted))  # argmin returns the first (lowest threshold)
     thr = 0.5 * (v[k] + v[k + 1])
+    if thr >= v[k + 1]:
+        thr = v[k]
     return float(weighted[k]), float(thr)
 
 

@@ -21,13 +21,6 @@ class WindowConfig:
             raise LmaError(f"stride must be >= 1, got {self.stride}")
 
 
-@dataclass(frozen=True)
-class DerivativeTrack:
-    order: int
-    values: np.ndarray
-    dt: float
-
-
 def finite_difference(track, dt):
     """One differencing pass: central interior, one-sided at the ends.
 
@@ -42,7 +35,7 @@ def finite_difference(track, dt):
 
 
 def derivative(track, order, dt):
-    """Repeated finite differencing; output keeps the input length T.
+    """Repeated finite differencing; the output array keeps the input length T.
 
     Boundary frames are one-sided, so values within `order` frames of either
     end are lower-accuracy; interior values are exact on polynomials of
@@ -63,7 +56,7 @@ def derivative(track, order, dt):
         )
     for _ in range(order):
         x = finite_difference(x, dt)
-    return DerivativeTrack(order=order, values=x, dt=dt)
+    return x
 
 
 def windows(n_frames, cfg):

@@ -22,10 +22,11 @@ from lmakit.cli import main as cli_main
 from lmakit.explain import brute_shap, tree_shap
 from lmakit.features import (
     FEATURE_NAMES,
+    FeatureTable,
     LmaConfig,
     SequencePrimitives,
     assemble_features,
-    _effort_space_ratio,
+    _effort_space_ratios,
 )
 from lmakit.floor import fit_floor
 from lmakit.forest import (
@@ -80,13 +81,10 @@ def datasets(corpus, timings):
         if w not in cache:
             t0 = time.time()
             cfg = LmaConfig(window=WindowConfig(w=w, stride=5))
-            rows = []
-            for s, p in zip(seqs, prims):
-                rows.extend(assemble_features(s, cfg=cfg, primitives=p))
-            X = np.stack([r.values for r in rows])
-            cache[w] = Dataset.from_labels(
-                X, [r.label for r in rows], [r.group_id for r in rows], FEATURE_NAMES
+            t = FeatureTable.concat(
+                assemble_features(s, cfg=cfg, primitives=p) for s, p in zip(seqs, prims)
             )
+            cache[w] = Dataset.from_labels(t.X, t.labels, t.groups, FEATURE_NAMES)
             timings[f"features_w{w}"] = time.time() - t0
         return cache[w]
 
@@ -225,16 +223,15 @@ def test_criterion_6_feature_invariants():
         shift = rng.uniform(-3, 3, 3) * np.array([1.0, 0.0, 1.0])
         r1 = assemble_features(make_sequence(pos), cfg=cfg)
         r2 = assemble_features(make_sequence(pos @ R.T + shift), cfg=cfg)
-        for a, b in zip(r1, r2):
-            for i, name in enumerate(FEATURE_NAMES):
-                if name not in height_slots:
-                    drift = max(drift, abs(a.values[i] - b.values[i]))
+        for i, name in enumerate(FEATURE_NAMES):
+            if name not in height_slots:
+                drift = max(drift, float(np.abs(r1.X[:, i] - r2.X[:, i]).max()))
     # effort-space chord ratio lower bound when the denominator is real
     ratio_ok = True
     rng = np.random.default_rng(99)
     for _ in range(200):
         track = np.cumsum(rng.normal(0, 0.02, (60, 3)), axis=0)
-        ratio = _effort_space_ratio(track, 0, 60, 6, 1e-3)
+        ratio = _effort_space_ratios(track, np.array([0]), 60, 6, 1e-3)[0]
         net = np.linalg.norm(track[54] - track[0])
         if ratio != 0.0 and net >= 1e-3:
             ratio_ok &= ratio >= 1.0 - 1e-9
@@ -260,9 +257,9 @@ def test_criterion_6_feature_invariants():
             frozen = rng.permutation(13)[:7]  # random stationary joints
             moving = [j for j in range(13) if j not in frozen]
             pos[:, moving, :] += np.cumsum(rng.normal(0, 0.01, (60, len(moving), 3)), axis=0)
-        for r in assemble_features(make_sequence(pos), cfg=cfg):
-            finite_ok &= bool(np.all(np.isfinite(r.values)))
-            n_windows += 1
+        table = assemble_features(make_sequence(pos), cfg=cfg)
+        finite_ok &= bool(np.all(np.isfinite(table.X)))
+        n_windows += len(table)
     ok = drift <= 1e-6 and ratio_ok and finite_ok
     _verdict(6, f"rigid-motion drift {drift:.2e}; chord ratio >= 1; "
                 f"{n_windows} degenerate windows all finite", ok)
@@ -271,14 +268,14 @@ def test_criterion_6_feature_invariants():
 def test_criterion_7_kinematics_accuracy():
     t = np.arange(240) * DT
     lin = np.column_stack([0.7 * t, np.zeros_like(t), np.zeros_like(t)])
-    lin_err = float(np.abs(derivative(lin, 1, DT).values[:, 0] - 0.7).max())
+    lin_err = float(np.abs(derivative(lin, 1, DT)[:, 0] - 0.7).max())
     quad = np.column_stack([t**2, np.zeros_like(t), np.zeros_like(t)])
-    quad_err = float(np.abs(derivative(quad, 2, DT).values[2:-2, 0] - 2.0).max())
+    quad_err = float(np.abs(derivative(quad, 2, DT)[2:-2, 0] - 2.0).max())
     sin_ok = True
     rel_ok = True
     for omega in (np.pi, 2 * np.pi, 4 * np.pi):
         track = np.column_stack([np.sin(omega * t), np.zeros_like(t), np.zeros_like(t)])
-        v = derivative(track, 1, DT).values[1:-1, 0]
+        v = derivative(track, 1, DT)[1:-1, 0]
         err = np.abs(v - omega * np.cos(omega * t[1:-1]))
         sin_ok &= bool(err.max() <= 1.01 * DT**2 * omega**3 / 6)
         if omega <= 2 * np.pi:
@@ -308,8 +305,8 @@ def test_criterion_8_determinism(tmp_path):
     # 1-thread vs 8-thread training agrees exactly
     from lmakit.features import read_features_csv
 
-    X, labels, groups, _ = read_features_csv(feats / "features.csv")
-    data = Dataset.from_labels(X, labels, groups, FEATURE_NAMES)
+    t = read_features_csv(feats / "features.csv")
+    data = Dataset.from_labels(t.X, t.labels, t.groups, FEATURE_NAMES)
     params = ForestParams(n_trees=8, max_depth=6, seed=11)
     thread_identical = (
         train(data, params, n_threads=1).to_json()

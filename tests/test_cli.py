@@ -114,7 +114,7 @@ def test_explain_local_accuracy_via_csv(ws, tmp_path):
     assert main(["--out", str(out), "explain",
                  str(ws / "model" / "model.json"), str(ws / "feats" / "features.csv")]) == 0
     model = ForestModel.load(ws / "model" / "model.json")
-    X, _, _, _ = read_features_csv(ws / "feats" / "features.csv")
+    X = read_features_csv(ws / "feats" / "features.csv").X
     sums = {}
     with open(out / "explanations.csv", encoding="utf-8") as fh:
         for row in _csv.DictReader(fh):
@@ -350,6 +350,38 @@ def test_malformed_model_exit_2(ws, tmp_path, capsys, command, case):
     assert str(model) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["train", "eval", "explain"])
+def test_header_only_feature_csv_exit_2(ws, tmp_path, capsys, command):
+    header = (ws / "feats" / "features.csv").read_text().split("\n")[0]
+    path = tmp_path / "features.csv"
+    path.write_text(header + "\n")
+    model = [] if command == "train" else [str(ws / "model" / "model.json")]
+    assert main(["--out", str(tmp_path / "o"), command, *model, str(path)]) == 2
+    assert f"{path}: feature CSV has no rows" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_unlabelled_feature_csv_exit_2(ws, tmp_path, capsys, command):
+    lines = (ws / "feats" / "features.csv").read_text().split("\n")
+    cells = lines[1].split(",")
+    cells[55] = ""
+    path = tmp_path / "features.csv"
+    path.write_text("\n".join([lines[0], ",".join(cells)] + lines[2:]))
+    model = [] if command == "train" else [str(ws / "model" / "model.json")]
+    assert main(["--out", str(tmp_path / "o"), command, *model, str(path)]) == 2
+    assert f"{path}: feature CSV lacks labels" in capsys.readouterr().err
+
+
+def test_kinplot_two_frame_sequence_exit_2(tmp_path, capsys):
+    from conftest import make_sequence, static_pose_positions
+    from lmakit.sequence import save_sequence
+
+    path = tmp_path / "short.jsonl"
+    save_sequence(make_sequence(static_pose_positions(2)), path)
+    assert main(["--out", str(tmp_path / "o"), "kinplot", "--w", "2", str(path)]) == 2
+    assert "too short" in capsys.readouterr().err
+
+
 def test_sweep_sizes_none_exit_2(ws, tmp_path, capsys):
     seqs = sorted(str(p) for p in (ws / "corpus").glob("*.jsonl"))
     assert main(["--out", str(tmp_path / "o"), "sweep", "--sizes", "none", *seqs]) == 2
@@ -368,7 +400,7 @@ def test_explanations_csv_matches_per_row_writer(ws, tmp_path):
     assert main(["--out", str(out), "explain",
                  str(ws / "model" / "model.json"), str(ws / "feats" / "features.csv")]) == 0
     model = ForestModel.load(ws / "model" / "model.json")
-    X, _, _, _ = read_features_csv(ws / "feats" / "features.csv")
+    X = read_features_csv(ws / "feats" / "features.csv").X
     rows = []
     for x in X:
         phi, base = per_row_tree_shap(model, x)

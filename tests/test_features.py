@@ -5,13 +5,13 @@ from conftest import make_sequence, static_pose_positions
 from lmakit.errors import LmaError
 from lmakit.features import (
     FEATURE_NAMES,
+    FeatureTable,
     LmaConfig,
     SequencePrimitives,
-    WindowFeatures,
     assemble_features,
     read_features_csv,
     write_features_csv,
-    _effort_space_ratio,
+    _effort_space_ratios,
     _initiation_predicates,
 )
 from lmakit.floor import FloorPlane, flat_floor
@@ -26,14 +26,15 @@ def _cfg(w=30, stride=10, **kw):
     return LmaConfig(window=WindowConfig(w=w, stride=stride), **kw)
 
 
-def _get(rows, name):
-    return np.array([r[name] for r in rows])
+def _get(table, name):
+    return table.X[:, FEATURE_NAMES.index(name)]
 
 
 def test_layout_is_55_and_stable():
     assert len(FEATURE_NAMES) == 55
     assert len(set(FEATURE_NAMES)) == 55
-    assert WindowFeatures.layout is FEATURE_NAMES
+    table = assemble_features(make_sequence(static_pose_positions(40)), cfg=_cfg())
+    assert table.X.shape[1] == len(FEATURE_NAMES)
 
 
 # --- initiation ---------------------------------------------------------
@@ -42,10 +43,9 @@ def test_layout_is_55_and_stable():
 def test_initiation_stationary_zero():
     seq = make_sequence(static_pose_positions(100))
     rows = assemble_features(seq, cfg=_cfg())
-    for r in rows:
-        for name in ("initiation_left_hand", "initiation_right_hand",
-                     "initiation_left_foot", "initiation_right_foot"):
-            assert r[name] == 0.0
+    for name in ("initiation_left_hand", "initiation_right_hand",
+                 "initiation_left_foot", "initiation_right_foot"):
+        assert np.all(_get(rows, name) == 0.0)
 
 
 def test_initiation_constant_speed_is_one():
@@ -88,7 +88,7 @@ def test_initiation_burst_detected_where_lookahead_overlaps_it():
 def test_effort_space_straight_line_is_one():
     T = 60
     track = np.column_stack([np.arange(T) * DT, np.full(T, 0.9), np.zeros(T)])
-    ratio = _effort_space_ratio(track, 0, 30, 6, 1e-3)
+    ratio = _effort_space_ratios(track, np.array([0]), 30, 6, 1e-3)[0]
     assert ratio == pytest.approx(1.0, abs=1e-9)
 
 
@@ -97,7 +97,7 @@ def test_effort_space_closed_loop_clamps():
     T = 61
     ang = 2 * np.pi * np.arange(T) / 60.0
     track = np.column_stack([0.3 * np.cos(ang), np.full(T, 0.9), 0.3 * np.sin(ang)])
-    ratio = _effort_space_ratio(track, 0, 61, 10, 1e-3)
+    ratio = _effort_space_ratios(track, np.array([0]), 61, 10, 1e-3)[0]
     chords = sum(
         np.linalg.norm(track[k * 10] - track[(k - 1) * 10]) for k in range(1, 7)
     )
@@ -114,14 +114,14 @@ def test_effort_space_zigzag_matches_hand_arithmetic():
     for f, (x, z) in pts.items():
         track[f, 0] = x
         track[f, 2] = z
-    ratio = _effort_space_ratio(track, 0, 9, 2, 1e-3)
+    ratio = _effort_space_ratios(track, np.array([0]), 9, 2, 1e-3)[0]
     assert ratio == pytest.approx(4 * 0.5 / 1.2, rel=1e-9)
 
 
 def test_effort_space_window_too_short():
     track = np.zeros((10, 3))
     with pytest.raises(LmaError):
-        _effort_space_ratio(track, 0, 2, 2, 1e-3)
+        _effort_space_ratios(track, np.array([0]), 2, 2, 1e-3)
 
 
 def test_effort_space_total_weighted_sum():
@@ -131,11 +131,10 @@ def test_effort_space_total_weighted_sum():
     track = np.column_stack([np.arange(T) * DT, np.full(T, 0.9), np.zeros(T)])
     seq = make_sequence(static_pose_positions(T, "left_hand", track))
     rows = assemble_features(seq, cfg=_cfg(w=60, stride=60))
-    r = rows[0]
-    assert r["effort_space_left_hand"] == pytest.approx(1.0, abs=1e-9)
-    assert r["effort_space_head"] == 0.0
+    assert _get(rows, "effort_space_left_hand")[0] == pytest.approx(1.0, abs=1e-9)
+    assert _get(rows, "effort_space_head")[0] == 0.0
     alpha_lh = canonical_skeleton().weight("left_hand")
-    assert r["effort_space_total"] == pytest.approx(alpha_lh * 1.0, abs=1e-9)
+    assert _get(rows, "effort_space_total")[0] == pytest.approx(alpha_lh * 1.0, abs=1e-9)
 
 
 # --- effort weight / time / flow ---------------------------------------
@@ -168,8 +167,8 @@ def test_effort_time_constant_acceleration():
     cfg = LmaConfig(window=WindowConfig(w=50, stride=50), selected_joints=("left_hand",))
     rows = assemble_features(seq, cfg=cfg)
     # second window [50, 100) is fully interior
-    assert rows[1]["effort_time_mean"] == pytest.approx(2.0, abs=1e-6)
-    assert rows[1]["effort_time_max"] == pytest.approx(2.0, abs=1e-6)
+    assert _get(rows, "effort_time_mean")[1] == pytest.approx(2.0, abs=1e-6)
+    assert _get(rows, "effort_time_max")[1] == pytest.approx(2.0, abs=1e-6)
 
 
 def test_effort_time_constant_velocity_zero():
@@ -205,7 +204,7 @@ def test_effort_flow_constant_acceleration_zero():
     seq = make_sequence(static_pose_positions(T, "left_hand", track))
     cfg = LmaConfig(window=WindowConfig(w=40, stride=40), selected_joints=("left_hand",))
     rows = assemble_features(seq, cfg=cfg)
-    assert rows[1]["effort_flow_left_hand"] == pytest.approx(0.0, abs=1e-6)
+    assert _get(rows, "effort_flow_left_hand")[1] == pytest.approx(0.0, abs=1e-6)
 
 
 def test_effort_flow_sinusoid_matches_analytic():
@@ -221,7 +220,7 @@ def test_effort_flow_sinusoid_matches_analytic():
     rows = assemble_features(seq, cfg=cfg)
     s, e = 60, 120  # interior window
     analytic = np.abs(A * omega**3 * np.cos(omega * t[s:e])).mean()
-    assert rows[1]["effort_flow_left_hand"] == pytest.approx(analytic, rel=0.05)
+    assert _get(rows, "effort_flow_left_hand")[1] == pytest.approx(analytic, rel=0.05)
 
 
 def test_rigid_translation_invariance_of_effort():
@@ -252,7 +251,7 @@ def _pose_with(overrides, T=40):
 def test_tpose_hand_distance():
     pos = _pose_with({"left_hand": (-0.8, 1.45, 0.0), "right_hand": (0.8, 1.45, 0.0)})
     rows = assemble_features(make_sequence(pos), cfg=_cfg())
-    assert rows[0]["dist_hand_hand"] == pytest.approx(1.6, abs=1e-9)
+    assert _get(rows, "dist_hand_hand")[0] == pytest.approx(1.6, abs=1e-9)
 
 
 def test_straight_leg_knee_angle_pi():
@@ -260,7 +259,7 @@ def test_straight_leg_knee_angle_pi():
         {"pelvis": (0.1, 1.0, 0.0), "left_knee": (0.1, 0.5, 0.0), "left_ankle": (0.1, 0.1, 0.0)}
     )
     rows = assemble_features(make_sequence(pos), cfg=_cfg())
-    assert rows[0]["angle_left_knee"] == pytest.approx(np.pi, abs=1e-9)
+    assert _get(rows, "angle_left_knee")[0] == pytest.approx(np.pi, abs=1e-9)
 
 
 def test_right_angle_knee():
@@ -268,13 +267,13 @@ def test_right_angle_knee():
         {"pelvis": (0.0, 1.0, 0.0), "left_knee": (0.0, 0.5, 0.0), "left_ankle": (0.0, 0.5, 0.4)}
     )
     rows = assemble_features(make_sequence(pos), cfg=_cfg())
-    assert rows[0]["angle_left_knee"] == pytest.approx(np.pi / 2, abs=1e-9)
+    assert _get(rows, "angle_left_knee")[0] == pytest.approx(np.pi / 2, abs=1e-9)
 
 
 def test_midarm_elbow_proxy_is_straight():
     # without elbow joints the proxy vertex is collinear with shoulder/hand
     rows = assemble_features(make_sequence(_pose_with({})), cfg=_cfg())
-    assert rows[0]["angle_left_elbow"] == pytest.approx(np.pi, abs=1e-9)
+    assert _get(rows, "angle_left_elbow")[0] == pytest.approx(np.pi, abs=1e-9)
 
 
 # --- shape and dispersion -------------------------------------------------
@@ -283,10 +282,10 @@ def test_midarm_elbow_proxy_is_straight():
 def test_volume_static_pose_constant():
     seq = make_sequence(static_pose_positions(50))
     rows = assemble_features(seq, cfg=_cfg())
-    r = rows[0]
-    assert r["volume_std"] == pytest.approx(0.0, abs=1e-12)
-    assert r["volume_mean"] == r["volume_min"] == r["volume_max"]
-    assert r["volume_mean"] > 0
+    assert _get(rows, "volume_std")[0] == pytest.approx(0.0, abs=1e-12)
+    mean, low, high = (_get(rows, name)[0] for name in ("volume_mean", "volume_min", "volume_max"))
+    assert mean == low == high
+    assert _get(rows, "volume_mean")[0] > 0
 
 
 def test_dispersion_constant_distance():
@@ -301,8 +300,8 @@ def test_dispersion_constant_distance():
         }
     )
     rows = assemble_features(make_sequence(pos), cfg=_cfg())
-    assert rows[0]["dispersion_upper_mean"] == pytest.approx(0.5, abs=1e-9)
-    assert rows[0]["dispersion_upper_std"] == pytest.approx(0.0, abs=1e-12)
+    assert _get(rows, "dispersion_upper_mean")[0] == pytest.approx(0.5, abs=1e-9)
+    assert _get(rows, "dispersion_upper_std")[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_dispersion_linear_ramp_mean():
@@ -321,7 +320,7 @@ def test_dispersion_linear_ramp_mean():
     ):
         pos[:, skel.index(role), :] = torso[None, :] + d[:, None] * np.array(direction)
     rows = assemble_features(make_sequence(pos), cfg=_cfg(w=T, stride=T))
-    assert rows[0]["dispersion_upper_mean"] == pytest.approx(d.mean(), abs=1e-6)
+    assert _get(rows, "dispersion_upper_mean")[0] == pytest.approx(d.mean(), abs=1e-6)
 
 
 def test_dispersion_rotation_invariant():
@@ -347,11 +346,10 @@ def test_straight_pelvis_path():
     track = np.column_stack([np.arange(T) * DT, np.ones(T), np.zeros(T)])
     pos = static_pose_positions(T, "pelvis", track)
     rows = assemble_features(make_sequence(pos), cfg=_cfg(w=60, stride=60))
-    r = rows[0]
-    assert r["pelvis_path_length"] == pytest.approx(59 / 60, abs=1e-9)
-    assert r["pelvis_net_displacement"] == pytest.approx(59 / 60, abs=1e-9)
-    assert r["pelvis_path_ratio"] == pytest.approx(1.0, abs=1e-9)
-    assert r["pelvis_curvature_max"] == pytest.approx(0.0, abs=1e-6)
+    assert _get(rows, "pelvis_path_length")[0] == pytest.approx(59 / 60, abs=1e-9)
+    assert _get(rows, "pelvis_net_displacement")[0] == pytest.approx(59 / 60, abs=1e-9)
+    assert _get(rows, "pelvis_path_ratio")[0] == pytest.approx(1.0, abs=1e-9)
+    assert _get(rows, "pelvis_curvature_max")[0] == pytest.approx(0.0, abs=1e-6)
 
 
 def test_circular_pelvis_curvature():
@@ -362,7 +360,7 @@ def test_circular_pelvis_curvature():
     track = np.column_stack([R * np.cos(ang), np.ones(T), R * np.sin(ang)])
     pos = static_pose_positions(T, "pelvis", track)
     rows = assemble_features(make_sequence(pos), cfg=_cfg(w=60, stride=60))
-    assert rows[0]["pelvis_curvature_mean"] == pytest.approx(1 / R, rel=0.02)
+    assert _get(rows, "pelvis_curvature_mean")[0] == pytest.approx(1 / R, rel=0.02)
 
 
 def test_stationary_pelvis_heights_and_ratio():
@@ -370,12 +368,11 @@ def test_stationary_pelvis_heights_and_ratio():
     skel = canonical_skeleton()
     pos[:, skel.index("pelvis"), :] = [0.0, 0.9, 0.0]
     rows = assemble_features(make_sequence(pos), plane=flat_floor(), cfg=_cfg(w=60, stride=60))
-    r = rows[0]
-    assert r["pelvis_height_mean"] == pytest.approx(0.9)
-    assert r["pelvis_height_min"] == pytest.approx(0.9)
-    assert r["pelvis_height_max"] == pytest.approx(0.9)
-    assert r["pelvis_path_length"] == 0.0
-    assert r["pelvis_path_ratio"] == 0.0
+    assert _get(rows, "pelvis_height_mean")[0] == pytest.approx(0.9)
+    assert _get(rows, "pelvis_height_min")[0] == pytest.approx(0.9)
+    assert _get(rows, "pelvis_height_max")[0] == pytest.approx(0.9)
+    assert _get(rows, "pelvis_path_length")[0] == 0.0
+    assert _get(rows, "pelvis_path_ratio")[0] == 0.0
 
 
 def test_tilted_floor_heights():
@@ -388,11 +385,39 @@ def test_tilted_floor_heights():
     pos[:, skel.index("pelvis"), 2] = depth
     rows = assemble_features(make_sequence(pos), plane=plane, cfg=_cfg(w=T, stride=T))
     expected = 1.0 - (0.1 * depth + 0.5)
-    assert rows[0]["pelvis_height_min"] == pytest.approx(expected.min(), abs=1e-9)
-    assert rows[0]["pelvis_height_max"] == pytest.approx(expected.max(), abs=1e-9)
+    assert _get(rows, "pelvis_height_min")[0] == pytest.approx(expected.min(), abs=1e-9)
+    assert _get(rows, "pelvis_height_max")[0] == pytest.approx(expected.max(), abs=1e-9)
 
 
 # --- assembly ---------------------------------------------------------------
+
+
+def test_feature_table_concat_keeps_row_order():
+    seq1 = make_sequence(static_pose_positions(60), label="a", group_id="g1")
+    seq2 = make_sequence(static_pose_positions(45) + 0.1, label="b", group_id="g2")
+    t1, t2 = assemble_features(seq1, cfg=_cfg()), assemble_features(seq2, cfg=_cfg())
+    t = FeatureTable.concat([t1, t2])
+    assert len(t) == len(t1) + len(t2) == 6
+    assert np.array_equal(t.X, np.vstack([t1.X, t2.X]))
+    assert t.labels == ("a",) * 4 + ("b",) * 2
+    assert t.groups == ("g1",) * 4 + ("g2",) * 2
+    assert t.starts.tolist() == [0, 10, 20, 30, 0, 10]
+
+
+def test_feature_table_checks_the_whole_matrix():
+    X = np.zeros((3, 55))
+    with pytest.raises(LmaError, match="feature values"):
+        FeatureTable(X[:, :54], [None] * 3, [""] * 3, [0, 1, 2])
+    with pytest.raises(LmaError, match="row count"):
+        FeatureTable(X, [None] * 2, [""] * 3, [0, 1, 2])
+    X[2, 40] = np.inf
+    with pytest.raises(LmaError, match="non-finite feature value"):
+        FeatureTable(X, [None] * 3, [""] * 3, [0, 1, 2])
+
+
+def test_two_frame_sequence_too_short_for_primitives():
+    with pytest.raises(LmaError, match="too short"):
+        SequencePrimitives(make_sequence(static_pose_positions(2)))
 
 
 def test_window_count():
@@ -404,11 +429,10 @@ def test_window_count():
 def test_stationary_dancer_all_kinematic_slots_zero():
     seq = make_sequence(static_pose_positions(80))
     rows = assemble_features(seq, cfg=_cfg())
-    for r in rows:
-        for name in FEATURE_NAMES:
-            if name.startswith(("effort_", "initiation_", "pelvis_path", "pelvis_curv", "travel_")):
-                assert r[name] == pytest.approx(0.0, abs=1e-9), name
-        assert np.all(np.isfinite(r.values))
+    for name in FEATURE_NAMES:
+        if name.startswith(("effort_", "initiation_", "pelvis_path", "pelvis_curv", "travel_")):
+            np.testing.assert_allclose(_get(rows, name), 0.0, atol=1e-9, err_msg=name)
+    assert np.all(np.isfinite(rows.X))
 
 
 def test_joint_storage_order_irrelevant():
@@ -428,8 +452,7 @@ def test_joint_storage_order_irrelevant():
     seq2 = JointSequence(fps=FPS, positions=pos[:, perm, :], skeleton=skel2)
     r1 = assemble_features(seq1, cfg=_cfg())
     r2 = assemble_features(seq2, cfg=_cfg())
-    for a, b in zip(r1, r2):
-        np.testing.assert_allclose(a.values, b.values, atol=1e-12)
+    np.testing.assert_allclose(r1.X, r2.X, atol=1e-12)
 
 
 def test_rigid_motion_invariance_full_vector():
@@ -444,11 +467,10 @@ def test_rigid_motion_invariance_full_vector():
     r1 = assemble_features(make_sequence(pos), cfg=_cfg())
     r2 = assemble_features(make_sequence(pos @ R.T + shift), cfg=_cfg())
     sensitive = ("pelvis_height_mean", "pelvis_height_min", "pelvis_height_max")
-    for a, b in zip(r1, r2):
-        for i, name in enumerate(FEATURE_NAMES):
-            if name in sensitive:
-                continue
-            assert abs(a.values[i] - b.values[i]) <= 1e-6, name
+    for i, name in enumerate(FEATURE_NAMES):
+        if name in sensitive:
+            continue
+        assert np.all(np.abs(r1.X[:, i] - r2.X[:, i]) <= 1e-6), name
 
 
 def test_time_reversal_preserves_statistics():
@@ -459,7 +481,7 @@ def test_time_reversal_preserves_statistics():
     r2 = assemble_features(make_sequence(pos[::-1].copy()), cfg=_cfg(w=T, stride=T))
     for name in ("pelvis_path_length", "volume_mean", "volume_std",
                  "dispersion_upper_mean", "effort_weight_mean", "travel_left_hand"):
-        assert r1[0][name] == pytest.approx(r2[0][name], abs=1e-9), name
+        assert _get(r1, name)[0] == pytest.approx(_get(r2, name)[0], abs=1e-9), name
 
 
 def test_effort_space_ratio_at_least_one_when_not_clamped():
@@ -467,7 +489,7 @@ def test_effort_space_ratio_at_least_one_when_not_clamped():
     for _ in range(50):
         T = 60
         track = np.cumsum(rng.normal(0, 0.02, (T, 3)), axis=0)
-        ratio = _effort_space_ratio(track, 0, T, 6, 1e-3)
+        ratio = _effort_space_ratios(track, np.array([0]), T, 6, 1e-3)[0]
         net = np.linalg.norm(
             track[(T - 1) // 6 * 6] - track[0]
         )
@@ -494,8 +516,7 @@ def test_all_finite_on_degenerate_inputs():
                 rng.normal(0, 0.01, (T, 13, 3)), axis=0
             )
         rows = assemble_features(make_sequence(pos), cfg=_cfg())
-        for r in rows:
-            assert np.all(np.isfinite(r.values))
+        assert np.all(np.isfinite(rows.X))
 
 
 # --- CSV round trip ----------------------------------------------------------
@@ -506,16 +527,34 @@ def test_csv_round_trip(tmp_path):
     T = 70
     pos = static_pose_positions(T) + rng.normal(0, 0.02, (T, 13, 3))
     seq = make_sequence(pos, label="demo", group_id="vid1")
-    rows = assemble_features(seq, cfg=_cfg())
+    table = assemble_features(seq, cfg=_cfg())
     path = tmp_path / "features.csv"
-    write_features_csv(rows, path)
-    X, labels, groups, starts = read_features_csv(path)
-    assert X.shape == (len(rows), 55)
-    assert labels == ["demo"] * len(rows)
-    assert groups == ["vid1"] * len(rows)
-    assert starts == [r.window_start for r in rows]
-    for i, r in enumerate(rows):
-        np.testing.assert_allclose(X[i], r.values, rtol=1e-8)
+    write_features_csv(table, path)
+    back = read_features_csv(path)
+    assert back.X.shape == (len(table), 55)
+    assert back.labels == ("demo",) * len(table)
+    assert back.groups == ("vid1",) * len(table)
+    assert back.starts.tolist() == table.starts.tolist()
+    np.testing.assert_allclose(back.X, table.X, rtol=1e-8)
+
+
+def test_csv_header_only_reads_as_empty_table(tmp_path):
+    path = tmp_path / "features.csv"
+    write_features_csv(FeatureTable.concat([]), path)
+    table = read_features_csv(path)
+    assert len(table) == 0 and table.X.shape == (0, 55) and table.starts.shape == (0,)
+
+
+def test_csv_non_finite_cell_rejected_with_path(tmp_path):
+    from lmakit.errors import SchemaError
+
+    path = tmp_path / "features.csv"
+    write_features_csv(assemble_features(make_sequence(static_pose_positions(40)), cfg=_cfg()), path)
+    lines = path.read_text(encoding="utf-8").split("\n")
+    lines[1] = "nan" + lines[1][lines[1].index(","):]
+    path.write_text("\n".join(lines), encoding="utf-8")
+    with pytest.raises(SchemaError, match="features.csv: non-finite feature value"):
+        read_features_csv(path)
 
 
 def test_csv_schema_mismatch_rejected(tmp_path):
@@ -595,10 +634,9 @@ def test_assembly_equals_per_window_reference(w, stride):
                                master_seed=11)[::7]:
         prim = SequencePrimitives(seq)
         cfg = _cfg(w=w, stride=stride)
-        rows = assemble_features(seq, plane=plane, cfg=cfg, primitives=prim)
-        assert [r.window_start for r in rows] == list(range(0, seq.n_frames - w + 1, stride))
-        assert np.array_equal(np.stack([r.values for r in rows]),
-                              _reference_rows(seq, prim, plane, cfg))
+        table = assemble_features(seq, plane=plane, cfg=cfg, primitives=prim)
+        assert table.starts.tolist() == list(range(0, seq.n_frames - w + 1, stride))
+        assert np.array_equal(table.X, _reference_rows(seq, prim, plane, cfg))
 
 
 def test_two_frame_window_too_short_for_chords():

@@ -76,6 +76,30 @@ def test_gini_constant_feature_none():
     assert _gini_candidates(np.ones(6), np.array([0, 1] * 3), 2, 1) is None
 
 
+def _adjacent_doubles():
+    a = np.nextafter(1.0, 2.0)
+    return a, np.nextafter(a, 2.0)
+
+
+def test_gini_threshold_between_adjacent_doubles():
+    # 0.5 * (a + b) rounds onto b, which would send every sample left
+    a, b = _adjacent_doubles()
+    values = np.array([a, a, b, b])
+    _, thr = _gini_candidates(values, np.array([0, 0, 1, 1]), 2, 1)
+    assert thr == a
+    assert np.count_nonzero(values <= thr) == 2
+
+
+def test_split_on_adjacent_doubles_keeps_both_children_non_empty():
+    a, b = _adjacent_doubles()
+    X = np.array([[a], [a], [b], [b]])
+    data = Dataset.from_labels(X, ["x", "x", "y", "y"], ["g0", "g1", "g2", "g3"], ("f0",))
+    params = ForestParams(n_trees=1, max_depth=1, bootstrap=False, features_per_split=1, seed=0)
+    root = train(data, params).trees[0]
+    assert root["left"]["cover"] == 2 and root["right"]["cover"] == 2
+    assert root["left"]["counts"] == [2, 0] and root["right"]["counts"] == [0, 2]
+
+
 # --- training and prediction --------------------------------------------------
 
 

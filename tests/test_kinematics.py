@@ -12,7 +12,7 @@ DT = 1.0 / 60.0
 def test_linear_motion_velocity_exact():
     t = np.arange(50)
     track = np.column_stack([0.1 * t * DT, np.zeros(50), np.zeros(50)])
-    v = derivative(track, 1, DT).values
+    v = derivative(track, 1, DT)
     np.testing.assert_allclose(v[:, 0], 0.1, atol=1e-9)
     np.testing.assert_allclose(v[:, 1:], 0.0, atol=1e-9)
 
@@ -21,14 +21,23 @@ def test_quadratic_acceleration_interior():
     # oracle: analytic second derivative of 0.5 * 2 * t^2 is 2 m/s^2
     t = np.arange(100) * DT
     track = np.column_stack([0.5 * 2.0 * t**2, np.zeros(100), np.zeros(100)])
-    a = derivative(track, 2, DT).values
+    a = derivative(track, 2, DT)
     np.testing.assert_allclose(a[2:-2, 0], 2.0, atol=1e-6)
 
 
 def test_constant_position_any_order():
     track = np.ones((30, 3)) * 1.7
     for order in (1, 2, 3):
-        np.testing.assert_array_equal(derivative(track, order, DT).values, 0.0)
+        np.testing.assert_array_equal(derivative(track, order, DT), 0.0)
+
+
+def test_chained_first_derivatives_equal_higher_orders():
+    rng = np.random.default_rng(3)
+    track = rng.normal(size=(40, 13, 3))
+    vel = derivative(track, 1, DT)
+    acc = derivative(vel, 1, DT)
+    assert np.array_equal(acc, derivative(track, 2, DT))
+    assert np.array_equal(derivative(acc, 1, DT), derivative(track, 3, DT))
 
 
 def test_too_short_raises():
@@ -44,7 +53,7 @@ def test_sinusoid_velocity_accuracy():
         omega = 2 * np.pi * hz
         t = np.arange(240) * DT
         track = np.column_stack([np.sin(omega * t), np.zeros_like(t), np.zeros_like(t)])
-        v = derivative(track, 1, DT).values[:, 0]
+        v = derivative(track, 1, DT)[:, 0]
         analytic = omega * np.cos(omega * t)
         err = np.abs(v[1:-1] - analytic[1:-1])
         assert err.max() <= 1.01 * DT**2 * omega**3 / 6
@@ -58,8 +67,8 @@ def test_derivative_linearity(seed, a, b):
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(20, 3))
     Y = rng.normal(size=(20, 3))
-    lhs = derivative(a * X + b * Y, 1, DT).values
-    rhs = a * derivative(X, 1, DT).values + b * derivative(Y, 1, DT).values
+    lhs = derivative(a * X + b * Y, 1, DT)
+    rhs = a * derivative(X, 1, DT) + b * derivative(Y, 1, DT)
     np.testing.assert_allclose(lhs, rhs, atol=1e-9)
 
 
