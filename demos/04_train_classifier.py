@@ -39,7 +39,7 @@ def main():
     for tr, te in folds:
         sub = Dataset(data.X[tr], data.y[tr], tuple(data.groups[i] for i in tr),
                       data.feature_names, data.class_names)
-        model = train(sub, params, n_threads=4)
+        model = train(sub, params)
         y_true.extend(data.y[te].tolist())
         y_pred.extend(predict(model, data.X[te]).tolist())
 

@@ -30,7 +30,7 @@ def main():
     cfg = LmaConfig(window=WindowConfig(w=55, stride=30))
     t = FeatureTable.concat(assemble_features(seq, cfg=cfg) for seq in seqs)
     data = Dataset.from_labels(t.X, t.labels, t.groups, FEATURE_NAMES)
-    model = train(data, ForestParams(n_trees=15, max_depth=10, seed=0), n_threads=4)
+    model = train(data, ForestParams(n_trees=15, max_depth=10, seed=0))
 
     # explain one "stomp" window
     i = t.labels.index("stomp")

@@ -44,7 +44,7 @@ def main():
             assemble_features(seq, cfg=cfg, primitives=prim) for seq, prim in zip(seqs, prims)
         )
         data = Dataset.from_labels(t.X, t.labels, t.groups, FEATURE_NAMES)
-        acc = float(np.mean(cross_val_accuracy(data, params, k=3, seed=42, n_threads=4)))
+        acc = float(np.mean(cross_val_accuracy(data, params, k=3, seed=42)))
         accs.append(acc)
         print(f"w = {w:2d} frames: accuracy {acc:.4f}")
 

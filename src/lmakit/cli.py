@@ -14,7 +14,6 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -111,40 +110,60 @@ def _write_manifest(out_dir, command, config, inputs, seed, notes=None, extra=No
 
 def _read_config_file(path):
     cp = configparser.ConfigParser()
-    if not cp.read(path):
-        raise LmaError(f"cannot read config file {path}")
-    out = {}
-    for section in cp.sections():
-        for key, value in cp[section].items():
-            out[f"{section}.{key}"] = value
-    return out
+    try:
+        if not cp.read(path, encoding="utf-8"):
+            raise LmaError(f"cannot read config file {path}")
+        return {f"{sec}.{key}": val for sec in cp.sections() for key, val in cp[sec].items()}
+    except (configparser.Error, UnicodeDecodeError) as e:
+        raise LmaError(f"{path}: bad config file: {' '.join(str(e).split())}") from e
 
 
 def _resolved(args, file_cfg, key, cast, default):
-    """CLI flag > config file > default."""
+    """CLI flag > config file > default.  A file value that does not parse as
+    `cast` is a data error naming the file and `section.key`."""
     flag = getattr(args, key.split(".")[-1].replace("-", "_"), None)
     if flag is not None:
         return flag
-    if key in file_cfg:
-        raw = file_cfg[key]
+    if key not in file_cfg:
+        return default
+    raw = file_cfg[key]
+    try:
         if cast is bool:
-            return raw.lower() in ("1", "true", "yes")
-        if raw.lower() == "none":
-            return None
+            return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
         return cast(raw)
-    return default
+    except (KeyError, ValueError):
+        raise LmaError(f"{args.config}: {key} = {raw!r} is not a valid {cast.__name__}") from None
 
 
-def _lma_config(args, file_cfg):
-    w = _resolved(args, file_cfg, "window.w", int, 55)
-    stride = _resolved(args, file_cfg, "window.stride", int, 1)
-    scale = _resolved(args, file_cfg, "lma.initiation_scale", float, 1.0)
-    eps = _resolved(args, file_cfg, "lma.epsilon_net", float, 1e-3)
+def _lma_config(args, file_cfg, window=None):
+    """The `[lma]` settings around `window`, by default the `[window]` one."""
     return LmaConfig(
-        window=WindowConfig(w=w, stride=stride),
-        initiation_scale=scale,
-        epsilon_net=eps,
+        window=window or WindowConfig(
+            w=_resolved(args, file_cfg, "window.w", int, 55),
+            stride=_resolved(args, file_cfg, "window.stride", int, 1),
+        ),
+        initiation_scale=_resolved(args, file_cfg, "lma.initiation_scale", float, 1.0),
+        epsilon_net=_resolved(args, file_cfg, "lma.epsilon_net", float, 1e-3),
     )
+
+
+def _forest_settings(args, file_cfg):
+    """The `[forest]` settings that have no flag, as ForestParams fields."""
+    return {
+        "features_per_split": _resolved(args, file_cfg, "forest.features_per_split", int, 8),
+        "bootstrap": _resolved(args, file_cfg, "forest.bootstrap", bool, True),
+    }
+
+
+def _at_least(lo):
+    """argparse type: an integer >= lo."""
+
+    def integer(text):
+        if int(text) < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {text}")
+        return int(text)
+
+    return integer
 
 
 def _int_or_none(v):
@@ -277,8 +296,7 @@ def _forest_grid(args, file_cfg):
         "n_trees": trees,
         "max_depth": depths,
         "min_samples_leaf": leaves,
-        "features_per_split": [int(file_cfg.get("forest.features_per_split", 8))],
-        "bootstrap": [file_cfg.get("forest.bootstrap", "true").lower() in ("1", "true", "yes")],
+        **{key: [v] for key, v in _forest_settings(args, file_cfg).items()},
         "seed": [args.seed],
     }
 
@@ -330,7 +348,7 @@ def cmd_train(args, file_cfg):
     t = _read_rows(args.features, labelled=True)
     data = Dataset.from_labels(t.X, t.labels, t.groups, FEATURE_NAMES)
     grid = _forest_grid(args, file_cfg)
-    best, report = grid_search(data, grid, k=args.k, seed=args.seed, n_threads=args.threads)
+    best, report = grid_search(data, grid, k=args.k, seed=args.seed)
 
     with open(out / "cv_report.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -353,7 +371,7 @@ def cmd_train(args, file_cfg):
     print(_report_table(rep, data.class_names))
     _write_metrics_csv(rep, data.class_names, out / "metrics.csv")
 
-    final = train(data, best, n_threads=args.threads)
+    final = train(data, best)
     final.save(out / "model.json")
     config = {"grid": {k: [str(v) for v in vals] for k, vals in grid.items()},
               "best": {"n_trees": best.n_trees, "max_depth": best.max_depth,
@@ -400,22 +418,25 @@ def cmd_sweep(args, file_cfg):
     for w in sizes:
         if w > min_T:
             raise LmaError(f"window {w} exceeds shortest sequence ({min_T} frames)")
-    prims = [features.SequencePrimitives(s) for s in seqs]
+    cfgs = [_lma_config(args, file_cfg, WindowConfig(w=w, stride=args.stride)) for w in sizes]
+    forest = _forest_settings(args, file_cfg)
     params = ForestParams(
         n_trees=args.n_trees[0] if args.n_trees else 30,
         max_depth=args.max_depth[0] if args.max_depth else 12,
         min_samples_leaf=args.min_samples_leaf[0] if args.min_samples_leaf else 1,
         seed=args.seed,
+        **forest,
     )
+    prims = [features.SequencePrimitives(s) for s in seqs]
     results = []
-    for w in sizes:
-        cfg = LmaConfig(window=WindowConfig(w=w, stride=args.stride))
+    for cfg in cfgs:
+        w = cfg.window.w
         t = FeatureTable.concat(
             assemble_features(seq, plane=plane, cfg=cfg, primitives=prim)
             for seq, prim in zip(seqs, prims)
         )
         data = Dataset.from_labels(t.X, t.labels, t.groups, FEATURE_NAMES)
-        accs = cross_val_accuracy(data, params, k=args.k, seed=args.seed, n_threads=args.threads)
+        accs = cross_val_accuracy(data, params, k=args.k, seed=args.seed)
         results.append((w, float(np.mean(accs)), float(np.std(accs))))
         print(f"w={w}: accuracy {np.mean(accs):.4f} +/- {np.std(accs):.4f}")
     with open(out / "sweep.csv", "w", encoding="utf-8", newline="") as fh:
@@ -430,8 +451,9 @@ def cmd_sweep(args, file_cfg):
         ylabel="CV accuracy",
         title="Accuracy vs sliding-window size",
     )
-    _write_manifest(out, "sweep", {"sizes": sizes, "stride": args.stride, "k": args.k},
-                    args.sequences, args.seed, notes)
+    config = {"sizes": sizes, "stride": args.stride, "k": args.k, "forest": forest,
+              "lma": {key: getattr(cfgs[0], key) for key in ("initiation_scale", "epsilon_net")}}
+    _write_manifest(out, "sweep", config, args.sequences, args.seed, notes)
     return 0
 
 
@@ -467,8 +489,7 @@ def cmd_kinplot(args, file_cfg):
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     seq = _load_sequences([args.sequence])[0]
-    cfg = _lma_config(args, file_cfg)
-    w = cfg.window.w
+    w = _lma_config(args, file_cfg).window.w
     if seq.n_frames < w:
         raise LmaError(f"sequence shorter than window ({seq.n_frames} < {w})")
     prim = features.SequencePrimitives(seq)
@@ -497,7 +518,7 @@ def cmd_kinplot(args, file_cfg):
 def _build_parser():
     parser = _Parser(prog="lmakit", description=__doc__)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--threads", type=int, default=1)
+    parser.add_argument("--threads", type=_at_least(1), default=1, help="no effect: training is serial")
     parser.add_argument("--config", default=None)
     parser.add_argument("--out", default="out")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -513,8 +534,8 @@ def _build_parser():
     p = sub.add_parser("floor", help="fit the floor plane from a point cloud")
     p.add_argument("cloud")
     p.add_argument("--tau", type=float, default=0.05)
-    p.add_argument("--up-axis", type=int, default=1)
-    p.add_argument("--depth-axis", type=int, default=2)
+    p.add_argument("--up-axis", type=int, choices=(0, 1, 2), default=1)
+    p.add_argument("--depth-axis", type=int, choices=(0, 1, 2), default=2)
     p.set_defaults(func=cmd_floor)
 
     p = sub.add_parser("synth", help="generate the synthetic 10-style corpus")
@@ -531,7 +552,7 @@ def _build_parser():
             p.add_argument("--n-trees", type=_int_list, default=None)
             p.add_argument("--max-depth", type=_int_list, default=None)
             p.add_argument("--min-samples-leaf", type=_int_list, default=None)
-            p.add_argument("--k", type=int, default=3)
+            p.add_argument("--k", type=_at_least(2), default=3)
             p.add_argument("--vote", action="store_true", help="per-video majority vote")
             p.set_defaults(func=cmd_train)
         else:
@@ -544,7 +565,7 @@ def _build_parser():
     p.add_argument("sequences", nargs="+")
     p.add_argument("--sizes", type=_int_list, default=[5, 15, 30, 55])
     p.add_argument("--stride", type=int, default=5)
-    p.add_argument("--k", type=int, default=3)
+    p.add_argument("--k", type=_at_least(2), default=3)
     p.add_argument("--cloud", default=None)
     p.add_argument("--tau", type=float, default=0.05)
     p.add_argument("--n-trees", type=_int_list, default=None)
@@ -555,7 +576,7 @@ def _build_parser():
     p = sub.add_parser("explain", help="Shapley attributions for a feature CSV")
     p.add_argument("model")
     p.add_argument("features")
-    p.add_argument("--top-k", type=int, default=10)
+    p.add_argument("--top-k", type=_at_least(1), default=10)
     p.set_defaults(func=cmd_explain)
 
     p = sub.add_parser("kinplot", help="windowed mean-speed curve")

@@ -9,7 +9,6 @@ one flat-array view of them (`FlatForest`), built and checked once per model.
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from itertools import product
@@ -470,21 +469,16 @@ def _tree_rng(seed, tree_index):
     return np.random.default_rng(np.random.SeedSequence([seed & 0xFFFFFFFFFFFFFFFF, tree_index]))
 
 
-def train(data, params, n_threads=1):
-    """Fit a forest; deterministic given params.seed regardless of threads."""
+def train(data, params):
+    """Fit a forest; tree i draws from its own stream, seeded by (params.seed, i)."""
     X, y = data.X, data.y
     if X.shape[0] < 2:
         raise LmaError("need at least 2 training samples")
     n_classes = len(data.class_names)
-
-    def fit_one(i):
-        return _grow_tree(X, y, n_classes, params, _tree_rng(params.seed, i))
-
-    if n_threads > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            trees = tuple(pool.map(fit_one, range(params.n_trees)))
-    else:
-        trees = tuple(fit_one(i) for i in range(params.n_trees))
+    trees = tuple(
+        _grow_tree(X, y, n_classes, params, _tree_rng(params.seed, i))
+        for i in range(params.n_trees)
+    )
     return ForestModel(
         trees=trees,
         params=params,
@@ -567,7 +561,7 @@ def stratified_group_kfold(y, groups, k=3, seed=0):
     return folds
 
 
-def _out_of_fold(data, params, folds, n_threads):
+def _out_of_fold(data, params, folds):
     """Out-of-fold class predictions in row order, and per-fold accuracies."""
     pred = np.empty(len(data.y), dtype=int)
     accs = []
@@ -579,16 +573,16 @@ def _out_of_fold(data, params, folds, n_threads):
             data.feature_names,
             data.class_names,
         )
-        model = train(sub, params, n_threads=n_threads)
+        model = train(sub, params)
         pred[test_idx] = predict(model, data.X[test_idx])
         accs.append(float(np.mean(pred[test_idx] == data.y[test_idx])))
     return pred, accs
 
 
-def cross_val_accuracy(data, params, k=3, seed=0, n_threads=1):
+def cross_val_accuracy(data, params, k=3, seed=0):
     """Per-fold validation accuracies under grouped stratified CV."""
     folds = stratified_group_kfold(data.y, data.groups, k=k, seed=seed)
-    return _out_of_fold(data, params, folds, n_threads)[1]
+    return _out_of_fold(data, params, folds)[1]
 
 
 def expand_grid(grid):
@@ -600,7 +594,7 @@ def expand_grid(grid):
     return points
 
 
-def grid_search(data, grid, k=3, seed=0, n_threads=1):
+def grid_search(data, grid, k=3, seed=0):
     """Evaluate every lattice point; ties prefer fewer trees, then shallower.
 
     Each report entry also keeps the point's pooled out-of-fold predictions
@@ -614,7 +608,7 @@ def grid_search(data, grid, k=3, seed=0, n_threads=1):
     report = []
     for params in grid:
         params = replace(params, seed=seed)
-        pred, accs = _out_of_fold(data, params, folds, n_threads)
+        pred, accs = _out_of_fold(data, params, folds)
         report.append(
             {
                 "params": params,

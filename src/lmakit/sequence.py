@@ -109,13 +109,8 @@ def _parse_header(obj, path):
     return fps, skel, obj.get("label"), obj.get("group_id", "")
 
 
-def load_sequence(path, skeleton=None):
-    """Parse a sequence JSONL file.
-
-    When `skeleton` is given, joint columns are reordered by name to match
-    its ordering (extra file joints are rejected only if a required name is
-    missing).
-    """
+def load_sequence(path):
+    """Parse a sequence JSONL file."""
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines:
@@ -164,18 +159,6 @@ def load_sequence(path, skeleton=None):
     if len(frames) < 2:
         raise SequenceFormatError("T >= 2 required", path)
     positions = np.stack(frames)
-
-    if skeleton is not None:
-        order = []
-        for name in skeleton.joint_names:
-            if name not in skel.joint_names:
-                raise SequenceFormatError(
-                    f"file lacks joint '{name}' required by the target skeleton", path
-                )
-            order.append(skel.joint_names.index(name))
-        positions = positions[:, order, :]
-        skel = skeleton
-
     return JointSequence(fps, positions, skel, label=label, group_id=group_id)
 
 

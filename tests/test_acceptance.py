@@ -93,7 +93,7 @@ def datasets(corpus, timings):
 
 @pytest.fixture(scope="module")
 def trained_model(datasets):
-    return train(datasets(55), FOREST, n_threads=4)
+    return train(datasets(55), FOREST)
 
 
 def test_criterion_1_end_to_end(datasets, timings):
@@ -106,7 +106,7 @@ def test_criterion_1_end_to_end(datasets, timings):
             data.X[tr], data.y[tr], tuple(data.groups[i] for i in tr),
             data.feature_names, data.class_names,
         )
-        model = train(sub, FOREST, n_threads=4)
+        model = train(sub, FOREST)
         y_true.extend(data.y[te].tolist())
         y_pred.extend(predict(model, data.X[te]).tolist())
     macro_f1 = metrics(np.array(y_true), np.array(y_pred), data.class_names)["macro"]["f1"]
@@ -122,7 +122,7 @@ def test_criterion_1_end_to_end(datasets, timings):
 def test_criterion_2_window_size_trend(datasets):
     acc = {}
     for w in (5, 15, 30, 55):
-        acc[w] = float(np.mean(cross_val_accuracy(datasets(w), FOREST, k=3, seed=42, n_threads=4)))
+        acc[w] = float(np.mean(cross_val_accuracy(datasets(w), FOREST, k=3, seed=42)))
     ok = (
         acc[55] >= acc[30]
         and acc[30] >= acc[5] - 0.02
@@ -295,22 +295,14 @@ def test_criterion_8_determinism(tmp_path):
     assert cli_main(["--seed", "11", "--out", str(feats), "extract",
                      "--w", "30", "--stride", "15"] + seqs) == 0
     outs = []
-    for name in ("m1", "m2"):
+    for name, threads in (("m1", "1"), ("m2", "1"), ("m8", "8")):
         out = tmp_path / name
-        assert cli_main(["--seed", "11", "--out", str(out), "train",
+        assert cli_main(["--seed", "11", "--threads", threads, "--out", str(out), "train",
                          str(feats / "features.csv"), "--n-trees", "8",
                          "--max-depth", "6", "--min-samples-leaf", "1"]) == 0
-        outs.append((out / "model.json").read_bytes())
+        outs.append(tuple((out / f).read_bytes() for f in ("model.json", "cv_report.csv")))
     byte_identical = outs[0] == outs[1]
-    # 1-thread vs 8-thread training agrees exactly
-    from lmakit.features import read_features_csv
-
-    t = read_features_csv(feats / "features.csv")
-    data = Dataset.from_labels(t.X, t.labels, t.groups, FEATURE_NAMES)
-    params = ForestParams(n_trees=8, max_depth=6, seed=11)
-    thread_identical = (
-        train(data, params, n_threads=1).to_json()
-        == train(data, params, n_threads=8).to_json()
-    )
-    _verdict(8, "repeated cmd_train byte-identical; 1-thread == 8-thread model",
+    # --threads 1 vs --threads 8 agrees exactly
+    thread_identical = outs[0] == outs[2]
+    _verdict(8, "repeated cmd_train byte-identical; --threads 1 == --threads 8 outputs",
              byte_identical and thread_identical)

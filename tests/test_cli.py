@@ -80,6 +80,17 @@ def test_train_deterministic(ws, tmp_path):
     assert (out2 / "model.json").read_bytes() == (ws / "model" / "model.json").read_bytes()
 
 
+def test_threads_flag_does_not_change_outputs(ws, tmp_path):
+    # the fixture's model was trained with the default --threads 1
+    out = tmp_path / "model8"
+    rc = main(["--seed", "7", "--threads", "8", "--out", str(out), "train",
+               str(ws / "feats" / "features.csv"),
+               "--n-trees", "10", "--max-depth", "6", "--min-samples-leaf", "1"])
+    assert rc == 0
+    for name in ("model.json", "cv_report.csv"):
+        assert (out / name).read_bytes() == (ws / "model" / name).read_bytes()
+
+
 def test_eval_on_training_features(ws, tmp_path, capsys):
     out = tmp_path / "eval"
     rc = main(["--out", str(out), "eval",
@@ -407,3 +418,79 @@ def test_explanations_csv_matches_per_row_writer(ws, tmp_path):
         rows.append(ShapExplanation(phi, base, x, model.class_names, model.feature_names))
     write_explanations_csv_per_row(rows, tmp_path / "reference.csv")
     assert (out / "explanations.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
+# --- configuration files and flag ranges -------------------------------------
+
+
+def test_sweep_honours_lma_and_forest_config(ws, tmp_path, monkeypatch):
+    # sweep builds the same rows as extract under one config file, and fits
+    # with the file's [forest] settings
+    import lmakit.cli
+    from lmakit.features import read_features_csv
+
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text("[lma]\nepsilon_net = 0.5\ninitiation_scale = 3\n"
+                   "[forest]\nfeatures_per_split = 5\nbootstrap = false\n")
+    seqs = sorted(str(p) for p in (ws / "corpus").glob("*.jsonl"))
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "feats"), "extract",
+                 "--w", "30", "--stride", "15", *seqs]) == 0
+    calls = []
+
+    def record_cv(data, params, **kw):
+        calls.append((data, params))
+        return [1.0]
+
+    monkeypatch.setattr(lmakit.cli, "cross_val_accuracy", record_cv)
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "sweep"), "sweep",
+                 "--sizes", "30", "--stride", "15", *seqs]) == 0
+    [(data, params)] = calls
+    written = np.array([[float(f"{v:.9g}") for v in row] for row in data.X])
+    extracted = read_features_csv(tmp_path / "feats" / "features.csv").X
+    assert np.array_equal(written, extracted)
+    assert not np.array_equal(extracted, read_features_csv(ws / "feats" / "features.csv").X)
+    assert (params.features_per_split, params.bootstrap) == (5, False)
+
+
+@pytest.mark.parametrize("command,section,key,value", [
+    ("extract", "lma", "epsilon_net", "abc"),
+    ("extract", "window", "w", "abc"),
+    ("sweep", "lma", "initiation_scale", "abc"),
+    ("sweep", "forest", "features_per_split", "x"),
+    ("train", "forest", "features_per_split", "x"),
+    ("train", "forest", "bootstrap", "maybe"),
+])
+def test_bad_config_value_exit_2(ws, tmp_path, capsys, command, section, key, value):
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(f"[{section}]\n{key} = {value}\n")
+    inputs = ([str(ws / "feats" / "features.csv")] if command == "train"
+              else sorted(str(p) for p in (ws / "corpus").glob("*.jsonl")))
+    extra = ["--sizes", "30"] if command == "sweep" else []
+    rc = main(["--config", str(cfg), "--out", str(tmp_path / "o"), command, *extra, *inputs])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "cfg.ini" in err and f"{section}.{key}" in err
+
+
+def test_config_without_section_header_exit_2(ws, tmp_path, capsys):
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text("w = 20\n")
+    seq = sorted((ws / "corpus").glob("*.jsonl"))[0]
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), "extract", str(seq)]) == 2
+    assert "cfg.ini" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "f.csv", "--k", "0"],
+    ["train", "f.csv", "--k", "1"],
+    ["sweep", "--k", "1", "s.jsonl"],
+    ["explain", "m.json", "f.csv", "--top-k", "-1"],
+    ["explain", "m.json", "f.csv", "--top-k", "0"],
+    ["floor", "c.txt", "--up-axis", "5"],
+    ["floor", "c.txt", "--depth-axis", "-1"],
+    ["--threads", "0", "train", "f.csv"],
+])
+def test_out_of_range_flag_exit_1(tmp_path, capsys, argv):
+    assert main(["--out", str(tmp_path / "o"), *argv]) == 1
+    assert "usage error" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
