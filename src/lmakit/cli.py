@@ -1,17 +1,16 @@
 """Batch command-line pipeline.
 
 Subcommands: extract, floor, synth, train, eval, sweep, explain, kinplot.
-Every run writes a manifest.json into the output directory recording the
-resolved configuration, input hashes and seed, so runs are reproducible.
+`main` creates the output directory, runs the command and writes a
+manifest.json there recording the resolved configuration, input hashes and
+seed, so runs are reproducible.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 internal error.
 """
 
 import argparse
 import configparser
-import csv
 import hashlib
-import json
 import sys
 import time
 from pathlib import Path
@@ -24,13 +23,14 @@ from . import __version__
 # installed there (a profiler or tracer) sees every call.
 from . import features
 from .charts import svg_line_chart
-from .errors import LmaError
+from .errors import GapError, LmaError
 from .explain import (
     summary_rank,
     tree_shap,
     write_explanations_csv,
     write_summary_csv,
 )
+from .files import read_text, write_csv, write_json
 from .features import (
     FEATURE_NAMES,
     FeatureTable,
@@ -75,22 +75,32 @@ def _sha256(path):
 def _load_cloud(path):
     """Point cloud file: one 'x y z' triple per line, meters."""
     pts = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                point = [float(v) for v in line.split()]
-            except ValueError:
-                point = []
-            if len(point) != 3:
-                raise LmaError(f"{path}:{lineno}: expected 'x y z' numbers")
-            pts.append(point)
+    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            point = [float(v) for v in line.split()]
+        except ValueError:
+            point = []
+        if len(point) != 3:
+            raise LmaError(f"{path}:{lineno}: expected 'x y z' numbers")
+        pts.append(point)
     return np.array(pts)
 
 
-def _write_manifest(out_dir, command, config, inputs, seed, notes=None, extra=None):
+def _out_dir(path):
+    """The output directory `path`, created with its parents if missing."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise LmaError(f"{out}: cannot create the output directory: {e.strerror or e}") from e
+    return out
+
+
+def _write_manifest(out, command, seed, config, inputs, notes=None, **extra):
+    """`extra` holds the command's own fields, such as `fps` and `diagnostics`."""
     manifest = {
         "command": command,
         "config": config,
@@ -98,23 +108,19 @@ def _write_manifest(out_dir, command, config, inputs, seed, notes=None, extra=No
         "seed": seed,
         "tool_version": __version__,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+        **extra,
     }
     if notes:
         manifest["notes"] = notes
-    manifest.update(extra or {})
-    path = Path(out_dir) / "manifest.json"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out / "manifest.json", manifest)
 
 
 def _read_config_file(path):
     cp = configparser.ConfigParser()
     try:
-        if not cp.read(path, encoding="utf-8"):
-            raise LmaError(f"cannot read config file {path}")
+        cp.read_string(read_text(path), source=path)
         return {f"{sec}.{key}": val for sec in cp.sections() for key, val in cp[sec].items()}
-    except (configparser.Error, UnicodeDecodeError) as e:
+    except configparser.Error as e:
         raise LmaError(f"{path}: bad config file: {' '.join(str(e).split())}") from e
 
 
@@ -179,9 +185,10 @@ def _load_sequences(paths, max_gap=6):
     because windows are counted in frames."""
     seqs = []
     for p in paths:
+        seq = load_sequence(p)  # its errors already carry [path:line]
         try:
-            seqs.append(validate_and_repair(load_sequence(p), max_gap=max_gap))
-        except LmaError as e:
+            seqs.append(validate_and_repair(seq, max_gap=max_gap))
+        except GapError as e:  # the repair does not know the file
             raise LmaError(f"{p}: {e}") from e
     by_fps = {}
     for p, seq in zip(paths, seqs):
@@ -202,9 +209,7 @@ def _floor_for(args, notes):
     return flat_floor()
 
 
-def cmd_extract(args, file_cfg):
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+def cmd_extract(args, file_cfg, out):
     cfg = _lma_config(args, file_cfg)
     notes = {}
     plane = _floor_for(args, notes)
@@ -216,24 +221,21 @@ def cmd_extract(args, file_cfg):
         tables.append(assemble_features(seq, plane=plane, cfg=cfg, primitives=prim))
     table = FeatureTable.concat(tables)
     write_features_csv(table, out / "features.csv")
-    config = {
-        "window": {"w": cfg.window.w, "stride": cfg.window.stride},
-        "lma": {"initiation_scale": cfg.initiation_scale, "epsilon_net": cfg.epsilon_net},
-        "tau": args.tau,
-    }
-    inputs = list(args.sequences) + ([args.cloud] if args.cloud else [])
-    extra = {
+    print(f"wrote {len(table)} feature rows to {out / 'features.csv'}")
+    return {
+        "config": {
+            "window": {"w": cfg.window.w, "stride": cfg.window.stride},
+            "lma": {"initiation_scale": cfg.initiation_scale, "epsilon_net": cfg.epsilon_net},
+            "tau": args.tau,
+        },
+        "inputs": list(args.sequences) + ([args.cloud] if args.cloud else []),
+        "notes": notes,
         "fps": {str(p): seq.fps for p, seq in zip(args.sequences, seqs)},
         "diagnostics": {"degenerate_hull_frames": degenerate},
     }
-    _write_manifest(out, "extract", config, inputs, args.seed, notes, extra)
-    print(f"wrote {len(table)} feature rows to {out / 'features.csv'}")
-    return 0
 
 
-def cmd_floor(args, file_cfg):
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+def cmd_floor(args, file_cfg, out):
     cloud = _load_cloud(args.cloud)
     plane = fit_floor(cloud, tau=args.tau, up_axis=args.up_axis, depth_axis=args.depth_axis)
     payload = {
@@ -244,37 +246,22 @@ def cmd_floor(args, file_cfg):
         "tau": plane.tau,
         "pinball_loss": plane.pinball_loss,
     }
-    with open(out / "floor.json", "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    _write_manifest(out, "floor", {"tau": args.tau}, [args.cloud], args.seed)
+    write_json(out / "floor.json", payload)
     print(f"floor: h = {plane.slope:.6g} * d + {plane.intercept:.6g} (loss {plane.pinball_loss:.6g})")
-    return 0
+    return {"config": {"tau": args.tau}, "inputs": [args.cloud]}
 
 
-def cmd_synth(args, file_cfg):
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+def cmd_synth(args, file_cfg, out):
     specs = default_styles(noise_sigma=args.noise)
     seqs = generate_corpus(
         specs, per_style=args.per_style, duration=args.duration, fps=args.fps, master_seed=args.seed
     )
     for seq in seqs:
         save_sequence(seq, out / f"{seq.group_id}.jsonl")
-    _write_manifest(
-        out,
-        "synth",
-        {
-            "per_style": args.per_style,
-            "duration": args.duration,
-            "fps": args.fps,
-            "noise": args.noise,
-        },
-        [],
-        args.seed,
-    )
     print(f"wrote {len(seqs)} sequences to {out}")
-    return 0
+    config = {"per_style": args.per_style, "duration": args.duration, "fps": args.fps,
+              "noise": args.noise}
+    return {"config": config, "inputs": []}
 
 
 def _read_rows(path, labelled):
@@ -316,19 +303,15 @@ def _report_table(rep, class_names):
 
 
 def _write_metrics_csv(rep, class_names, path):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["class", "precision", "recall", "f1", "support", "zero_division"])
-        for name in class_names:
-            m = rep["per_class"][name]
-            writer.writerow(
-                [name, f"{m['precision']:.9g}", f"{m['recall']:.9g}", f"{m['f1']:.9g}",
-                 m["support"], int(m["zero_division"])]
-            )
-        mac = rep["macro"]
-        writer.writerow(["macro", f"{mac['precision']:.9g}", f"{mac['recall']:.9g}",
-                         f"{mac['f1']:.9g}",
-                         sum(rep["per_class"][name]["support"] for name in class_names), ""])
+    rows = []
+    for name in class_names:
+        m = rep["per_class"][name]
+        rows.append([name, f"{m['precision']:.9g}", f"{m['recall']:.9g}", f"{m['f1']:.9g}",
+                     m["support"], int(m["zero_division"])])
+    mac = rep["macro"]
+    rows.append(["macro", f"{mac['precision']:.9g}", f"{mac['recall']:.9g}", f"{mac['f1']:.9g}",
+                 sum(rep["per_class"][name]["support"] for name in class_names), ""])
+    write_csv(path, ["class", "precision", "recall", "f1", "support", "zero_division"], rows)
 
 
 def _vote_by_group(y_true, y_pred, groups):
@@ -342,24 +325,19 @@ def _vote_by_group(y_true, y_pred, groups):
     return np.array(gt), np.array(gp)
 
 
-def cmd_train(args, file_cfg):
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+def cmd_train(args, file_cfg, out):
     t = _read_rows(args.features, labelled=True)
     data = Dataset.from_labels(t.X, t.labels, t.groups, FEATURE_NAMES)
     grid = _forest_grid(args, file_cfg)
     best, report = grid_search(data, grid, k=args.k, seed=args.seed)
 
-    with open(out / "cv_report.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["n_trees", "max_depth", "min_samples_leaf", "mean_accuracy", "fold_accuracies"])
-        for r in report:
-            p = r["params"]
-            writer.writerow(
-                [p.n_trees, p.max_depth, p.min_samples_leaf,
-                 f"{r['mean_accuracy']:.9g}",
-                 ";".join(f"{a:.9g}" for a in r["fold_accuracies"])]
-            )
+    write_csv(
+        out / "cv_report.csv",
+        ["n_trees", "max_depth", "min_samples_leaf", "mean_accuracy", "fold_accuracies"],
+        ([r["params"].n_trees, r["params"].max_depth, r["params"].min_samples_leaf,
+          f"{r['mean_accuracy']:.9g}", ";".join(f"{a:.9g}" for a in r["fold_accuracies"])]
+         for r in report),
+    )
 
     # the best point's pooled out-of-fold predictions give the per-class report
     y_pred = next(r["predictions"] for r in report if r["params"] is best)
@@ -373,19 +351,16 @@ def cmd_train(args, file_cfg):
 
     final = train(data, best)
     final.save(out / "model.json")
+    print(f"best params: n_trees={best.n_trees} max_depth={best.max_depth} "
+          f"min_samples_leaf={best.min_samples_leaf}")
     config = {"grid": {k: [str(v) for v in vals] for k, vals in grid.items()},
               "best": {"n_trees": best.n_trees, "max_depth": best.max_depth,
                        "min_samples_leaf": best.min_samples_leaf}, "k": args.k,
               "vote": bool(args.vote)}
-    _write_manifest(out, "train", config, [args.features], args.seed)
-    print(f"best params: n_trees={best.n_trees} max_depth={best.max_depth} "
-          f"min_samples_leaf={best.min_samples_leaf}")
-    return 0
+    return {"config": config, "inputs": [args.features]}
 
 
-def cmd_eval(args, file_cfg):
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+def cmd_eval(args, file_cfg, out):
     model = ForestModel.load(args.model)
     if tuple(model.feature_names) != FEATURE_NAMES:
         raise LmaError("model feature schema does not match the canonical layout")
@@ -401,13 +376,10 @@ def cmd_eval(args, file_cfg):
     rep = metrics(y_true, y_pred, model.class_names)
     print(_report_table(rep, model.class_names))
     _write_metrics_csv(rep, model.class_names, out / "metrics.csv")
-    _write_manifest(out, "eval", {"vote": bool(args.vote)}, [args.model, args.features], args.seed)
-    return 0
+    return {"config": {"vote": bool(args.vote)}, "inputs": [args.model, args.features]}
 
 
-def cmd_sweep(args, file_cfg):
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+def cmd_sweep(args, file_cfg, out):
     seqs = _load_sequences(args.sequences)
     notes = {}
     plane = _floor_for(args, notes)
@@ -439,11 +411,8 @@ def cmd_sweep(args, file_cfg):
         accs = cross_val_accuracy(data, params, k=args.k, seed=args.seed)
         results.append((w, float(np.mean(accs)), float(np.std(accs))))
         print(f"w={w}: accuracy {np.mean(accs):.4f} +/- {np.std(accs):.4f}")
-    with open(out / "sweep.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["w", "mean_accuracy", "std_accuracy"])
-        for w, m, s in results:
-            writer.writerow([w, f"{m:.9g}", f"{s:.9g}"])
+    write_csv(out / "sweep.csv", ["w", "mean_accuracy", "std_accuracy"],
+              ([w, f"{m:.9g}", f"{s:.9g}"] for w, m, s in results))
     svg_line_chart(
         [("accuracy", [r[0] for r in results], [r[1] for r in results])],
         out / "sweep.svg",
@@ -453,13 +422,10 @@ def cmd_sweep(args, file_cfg):
     )
     config = {"sizes": sizes, "stride": args.stride, "k": args.k, "forest": forest,
               "lma": {key: getattr(cfgs[0], key) for key in ("initiation_scale", "epsilon_net")}}
-    _write_manifest(out, "sweep", config, args.sequences, args.seed, notes)
-    return 0
+    return {"config": config, "inputs": args.sequences, "notes": notes}
 
 
-def cmd_explain(args, file_cfg):
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+def cmd_explain(args, file_cfg, out):
     model = ForestModel.load(args.model)
     X = _read_rows(args.features, labelled=False).X
     if tuple(model.feature_names) != FEATURE_NAMES:
@@ -468,26 +434,19 @@ def cmd_explain(args, file_cfg):
     write_explanations_csv(explanation, out / "explanations.csv")
     ranking = summary_rank(explanation)
     write_summary_csv(ranking[: args.top_k], out / "summary.csv")
-    # per-class summaries
-    with open(out / "summary_per_class.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["class", "feature", "mean_abs_phi", "rank"])
-        stacked = np.abs(explanation.phi)  # (N, C, F)
-        for c, cname in enumerate(model.class_names):
-            mean_abs = stacked[:, c, :].mean(axis=0)
-            order = np.lexsort((np.arange(len(FEATURE_NAMES)), -mean_abs))[: args.top_k]
-            for rank, f in enumerate(order, start=1):
-                writer.writerow([cname, FEATURE_NAMES[f], f"{mean_abs[f]:.9g}", rank])
-    _write_manifest(out, "explain", {"top_k": args.top_k}, [args.model, args.features], args.seed)
+    per_class = []
+    for cname, mean_abs in zip(model.class_names, np.abs(explanation.phi).mean(axis=0)):
+        order = np.lexsort((np.arange(len(FEATURE_NAMES)), -mean_abs))[: args.top_k]
+        per_class += [[cname, FEATURE_NAMES[f], f"{mean_abs[f]:.9g}", rank]
+                      for rank, f in enumerate(order, start=1)]
+    write_csv(out / "summary_per_class.csv", ["class", "feature", "mean_abs_phi", "rank"], per_class)
     print(f"top {args.top_k} features:")
     for _, name, value in ranking[: args.top_k]:
         print(f"  {name:28s} {value:.6g}")
-    return 0
+    return {"config": {"top_k": args.top_k}, "inputs": [args.model, args.features]}
 
 
-def cmd_kinplot(args, file_cfg):
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+def cmd_kinplot(args, file_cfg, out):
     seq = _load_sequences([args.sequence])[0]
     w = _lma_config(args, file_cfg).window.w
     if seq.n_frames < w:
@@ -499,11 +458,8 @@ def cmd_kinplot(args, file_cfg):
     kernel = np.ones(w) / w
     curve = np.convolve(mean_speed, kernel, mode="valid")
     frames = np.arange(len(curve))
-    with open(out / "kinematics.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["frame", "velocity"])
-        for f, v in zip(frames, curve):
-            writer.writerow([int(f), f"{v:.9g}"])
+    write_csv(out / "kinematics.csv", ["frame", "velocity"],
+              ([int(f), f"{v:.9g}"] for f, v in zip(frames, curve)))
     svg_line_chart(
         [(seq.label or "sequence", frames.tolist(), curve.tolist())],
         out / "kinematics.svg",
@@ -511,8 +467,7 @@ def cmd_kinplot(args, file_cfg):
         ylabel="velocity (m/s)",
         title=f"Windowed mean speed (w={w})",
     )
-    _write_manifest(out, "kinplot", {"w": w}, [args.sequence], args.seed)
-    return 0
+    return {"config": {"w": w}, "inputs": [args.sequence]}
 
 
 def _build_parser():
@@ -593,7 +548,9 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         file_cfg = _read_config_file(args.config) if args.config else {}
-        return args.func(args, file_cfg)
+        out = _out_dir(args.out)
+        _write_manifest(out, args.command, args.seed, **args.func(args, file_cfg, out))
+        return 0
     except _UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1

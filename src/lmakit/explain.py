@@ -18,6 +18,7 @@ from math import factorial
 import numpy as np
 
 from .errors import LmaError
+from .files import write_csv
 from .forest import predict
 
 
@@ -202,31 +203,18 @@ def permutation_importance(model, data, n_repeats=5, seed=0):
     return means, stds
 
 
-def _stacked(explanations):
-    """(phi (N, C, F), base (N, C), class names, feature names) of one
-    explanation of many rows, or of a list of single-row explanations."""
-    if isinstance(explanations, ShapExplanation):
-        e = explanations
-        phi = e.phi if e.phi.ndim == 3 else e.phi[None]
-        base = np.broadcast_to(e.base, phi.shape[:2])
-    else:
-        if not explanations:
-            raise LmaError("no explanations to summarize")
-        e = explanations[0]
-        for other in explanations:
-            if other.feature_names != e.feature_names or other.class_names != e.class_names:
-                raise LmaError("explanations disagree on schema")
-        phi = np.stack([x.phi for x in explanations])
-        base = np.stack([x.base for x in explanations])
+def _stacked(explanation):
+    """phi of `explanation` as (rows, classes, features); refuses zero rows."""
+    phi = explanation.phi if explanation.phi.ndim == 3 else explanation.phi[None]
     if len(phi) == 0:
         raise LmaError("no explanations to summarize")
-    return phi, base, e.class_names, e.feature_names
+    return phi
 
 
-def summary_rank(explanations):
+def summary_rank(explanation):
     """Features ranked by mean |phi| across instances and classes."""
-    phi, _, _, names = _stacked(explanations)
-    mean_abs = np.abs(phi).mean(axis=(0, 1))
+    names = explanation.feature_names
+    mean_abs = np.abs(_stacked(explanation)).mean(axis=(0, 1))
     order = np.lexsort((np.arange(len(names)), -mean_abs))
     return [(int(i), names[i], float(mean_abs[i])) for i in order]
 
@@ -238,29 +226,29 @@ def _csv_cells(*fields):
     return buf.getvalue()[:-1]
 
 
-def write_explanations_csv(explanations, path, instance_ids=None):
+def write_explanations_csv(explanation, path):
     """One line per instance, class and feature, written an instance at a time.
 
-    Name cells are quoted once up front; only the numbers are formatted per line.
+    Name cells are quoted and the base values formatted once up front; only
+    the attributions are formatted per line.
     """
-    phi, base, class_names, feature_names = _stacked(explanations)
-    names = [[_csv_cells(c, f) for f in feature_names] for c in class_names]
+    phi = _stacked(explanation)
+    names = [[_csv_cells(c, f) for f in explanation.feature_names] for c in explanation.class_names]
+    base = [f"{v:.9g}" for v in explanation.base.tolist()]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("instance,class,feature,phi,base\n")
         for n in range(len(phi)):
-            # quoted as one cell of a longer line, as the instance cell is
-            iid = _csv_cells(instance_ids[n] if instance_ids else n, "")[:-1]
+            iid = str(n)  # once per instance, not once per line
             fh.write("".join(
                 f"{iid},{cell},{value:.9g},{b}\n"
-                for cells, row, b in zip(names, phi[n].tolist(),
-                                         [f"{v:.9g}" for v in base[n].tolist()])
+                for cells, row, b in zip(names, phi[n].tolist(), base)
                 for cell, value in zip(cells, row)
             ))
 
 
 def write_summary_csv(ranking, path):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["feature", "mean_abs_phi", "rank"])
-        for rank, (_, name, value) in enumerate(ranking, start=1):
-            writer.writerow([name, f"{value:.9g}", rank])
+    write_csv(
+        path,
+        ["feature", "mean_abs_phi", "rank"],
+        ([name, f"{value:.9g}", rank] for rank, (_, name, value) in enumerate(ranking, start=1)),
+    )

@@ -14,12 +14,14 @@ slots through FEATURE_NAMES.
 """
 
 import csv
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import LmaError, SchemaError
+from .files import read_text, write_csv
 from .floor import flat_floor, height_above_floor
 from .hull import hull_volume
 from .kinematics import WindowConfig, derivative, windows
@@ -367,40 +369,38 @@ CSV_EXTRA_COLUMNS = ("label", "group_id", "window_start")
 
 def write_features_csv(table, path):
     """Feature CSV: the 55 canonical names + label/group_id/window_start."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(list(FEATURE_NAMES) + list(CSV_EXTRA_COLUMNS))
-        writer.writerows(
-            [f"{v:.9g}" for v in row] + [label or "", group, start]
-            for row, label, group, start in zip(
-                table.X.tolist(), table.labels, table.groups, table.starts.tolist()
-            )
-        )
+    rows = zip(table.X.tolist(), table.labels, table.groups, table.starts.tolist())
+    write_csv(
+        path,
+        list(FEATURE_NAMES) + list(CSV_EXTRA_COLUMNS),
+        ([f"{v:.9g}" for v in x] + [label or "", group, start] for x, label, group, start in rows),
+    )
 
 
 def read_features_csv(path):
     """Load a feature CSV back into a FeatureTable."""
-    with open(path, encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        expected = list(FEATURE_NAMES) + list(CSV_EXTRA_COLUMNS)
-        if header != expected:
-            raise SchemaError(f"feature CSV header does not match the canonical layout: {path}")
-        X, labels, groups, starts = [], [], [], []
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != 58:
-                raise SchemaError(
-                    f"{path}:{reader.line_num}: feature CSV row has {len(row)} columns, expected 58"
-                )
-            try:
-                X.append([float(v) for v in row[:55]])
-                starts.append(int(row[57]))
-            except ValueError as e:
-                raise SchemaError(f"{path}:{reader.line_num}: non-numeric feature CSV cell: {e}") from e
-            labels.append(row[55] or None)
-            groups.append(row[56])
+    # lines with their '\n' ends, as a text file yields them: csv needs the
+    # ends inside quoted cells (io.StringIO would hold 4 bytes per character)
+    reader = csv.reader(re.findall(r"[^\n]*\n|[^\n]+", read_text(path)))
+    header = next(reader, None)
+    expected = list(FEATURE_NAMES) + list(CSV_EXTRA_COLUMNS)
+    if header != expected:
+        raise SchemaError(f"feature CSV header does not match the canonical layout: {path}")
+    X, labels, groups, starts = [], [], [], []
+    for row in reader:
+        if not row:
+            continue
+        if len(row) != 58:
+            raise SchemaError(
+                f"{path}:{reader.line_num}: feature CSV row has {len(row)} columns, expected 58"
+            )
+        try:
+            X.append([float(v) for v in row[:55]])
+            starts.append(int(row[57]))
+        except ValueError as e:
+            raise SchemaError(f"{path}:{reader.line_num}: non-numeric feature CSV cell: {e}") from e
+        labels.append(row[55] or None)
+        groups.append(row[56])
     try:
         return FeatureTable(np.reshape(X, (-1, len(FEATURE_NAMES))), labels, groups, starts)
     except LmaError as e:

@@ -1,0 +1,35 @@
+"""The file boundary: every input file is read through `read_text`, and the
+command-line tables and JSON documents are written by `write_csv` and
+`write_json`.  A missing, unreadable or non-UTF-8 input is a data error
+naming its path."""
+
+import csv
+import json
+
+from .errors import LmaError
+
+
+def read_text(path):
+    """The UTF-8 text of the file at `path`, every line ending read as '\\n'."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as e:
+        raise LmaError(f"{path}: cannot read: {e.strerror or e}") from e
+    except UnicodeDecodeError as e:
+        raise LmaError(f"{path}: not UTF-8 text: {e.reason} at byte {e.start}") from e
+
+
+def write_csv(path, header, rows):
+    """A header line, then one line per row, each ending in '\\n'."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_json(path, payload):
+    """`payload` indented by 2 with sorted keys, and a final newline."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")

@@ -17,6 +17,7 @@ from numbers import Integral, Real
 import numpy as np
 
 from .errors import LmaError, SchemaError
+from .files import read_text
 
 MODEL_FORMAT_VERSION = 1
 
@@ -412,11 +413,9 @@ class ForestModel:
     @staticmethod
     def load(path):
         """Read a model file; anything but a well-formed forest raises SchemaError."""
+        text = read_text(path)
         try:
-            with open(path, encoding="utf-8") as fh:
-                payload = json.load(fh)
-        except OSError as e:
-            raise LmaError(f"{path}: cannot read model: {e.strerror or e}") from e
+            payload = json.loads(text)
         except (ValueError, RecursionError) as e:
             raise SchemaError(f"{path}: not a JSON model file: {e}") from e
         try:

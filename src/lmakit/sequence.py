@@ -15,6 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import GapError, SequenceFormatError, SkeletonError
+from .files import read_text
 from .skeleton import SkeletonSpec, default_weight_for
 
 FORMAT_VERSION = 1
@@ -111,8 +112,7 @@ def _parse_header(obj, path):
 
 def load_sequence(path):
     """Parse a sequence JSONL file."""
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = read_text(path).splitlines()
     if not lines:
         raise SequenceFormatError("empty file", path)
     try:
@@ -198,39 +198,35 @@ def validate_and_repair(seq, max_gap=6):
         return seq
     if np.any(np.isinf(pos)):
         raise GapError("sequence contains infinite coordinates")
-    repaired = pos.copy()
-    T = seq.n_frames
-    for j in range(seq.n_joints):
-        bad = np.any(np.isnan(pos[:, j, :]), axis=1)
-        if not bad.any():
-            continue
-        name = seq.skeleton.joint_names[j]
-        if bad[0] or bad[-1]:
+    bad = np.isnan(pos).any(axis=2)  # (T, J)
+    # maximal missing runs, ordered by joint and then by first frame
+    edges = np.diff(np.pad(bad, ((1, 1), (0, 0))).astype(np.int8), axis=0).T
+    joint, start = np.nonzero(edges == 1)
+    stop = np.nonzero(edges == -1)[1]
+    length = stop - start
+    boundary = bad[0] | bad[-1]
+    failing = boundary[joint] | (length > max_gap)
+    if failing.any():
+        r = int(np.argmax(failing))  # the first failing joint's first failing run
+        name = seq.skeleton.joint_names[joint[r]]
+        if boundary[joint[r]]:
             raise GapError(
                 f"joint '{name}' has missing data at a sequence boundary",
                 joint=name,
             )
-        # locate maximal NaN runs
-        t = 0
-        while t < T:
-            if not bad[t]:
-                t += 1
-                continue
-            start = t
-            while t < T and bad[t]:
-                t += 1
-            run = t - start
-            if run > max_gap:
-                raise GapError(
-                    f"joint '{name}' missing for frames {start}..{t - 1} "
-                    f"({run} > max_gap={max_gap})",
-                    joint=name,
-                    frames=(start, t - 1),
-                )
-            lo, hi = start - 1, t
-            for k in range(start, t):
-                frac = (k - lo) / (hi - lo)
-                repaired[k, j, :] = (1 - frac) * pos[lo, j, :] + frac * pos[hi, j, :]
+        first, last = int(start[r]), int(stop[r]) - 1
+        raise GapError(
+            f"joint '{name}' missing for frames {first}..{last} "
+            f"({length[r]} > max_gap={max_gap})",
+            joint=name,
+            frames=(first, last),
+        )
+    j, k = np.nonzero(bad.T)  # the missing frames, in the order of their runs
+    run = np.repeat(np.arange(len(start)), length)
+    lo, hi = start[run] - 1, stop[run]
+    frac = ((k - lo) / (hi - lo))[:, None]
+    repaired = pos.copy()
+    repaired[k, j] = (1 - frac) * pos[lo, j] + frac * pos[hi, j]
     return replace(seq, positions=repaired)
 
 

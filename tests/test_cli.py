@@ -494,3 +494,81 @@ def test_out_of_range_flag_exit_1(tmp_path, capsys, argv):
     assert main(["--out", str(tmp_path / "o"), *argv]) == 1
     assert "usage error" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+# --- unreadable inputs and output directories ---------------------------------
+
+
+def _hostile_argv(ws, kind, path):
+    """argv reading the input of `kind` from `path`; every other input is good."""
+    model, feats = str(ws / "model" / "model.json"), str(ws / "feats" / "features.csv")
+    seq = str(sorted((ws / "corpus").glob("*.jsonl"))[0])
+    return {
+        "sequence": ["extract", path],
+        "train-features": ["train", path],
+        "eval-features": ["eval", model, path],
+        "explain-features": ["explain", model, path],
+        "model": ["eval", path, feats],
+        "cloud": ["floor", path],
+        "config": ["--config", path, "extract", seq],
+    }[kind]
+
+
+GOOD_INPUT = {
+    "sequence": lambda ws: sorted((ws / "corpus").glob("*.jsonl"))[0].read_bytes(),
+    "train-features": lambda ws: (ws / "feats" / "features.csv").read_bytes(),
+    "eval-features": lambda ws: (ws / "feats" / "features.csv").read_bytes(),
+    "explain-features": lambda ws: (ws / "feats" / "features.csv").read_bytes(),
+    "model": lambda ws: (ws / "model" / "model.json").read_bytes(),
+    "cloud": lambda ws: b"0 0.1 0.2\n0 0.3 0.4\n0 0.2 0.9\n",
+    "config": lambda ws: b"[window]\nw = 20\n",
+}
+
+
+@pytest.mark.parametrize("fault", ["missing", "directory", "not-utf8"])
+@pytest.mark.parametrize("kind", list(GOOD_INPUT))
+def test_unreadable_input_exit_2(ws, tmp_path, capsys, kind, fault):
+    path = tmp_path / f"input-{kind}"
+    if fault == "directory":
+        path.mkdir()
+    elif fault == "not-utf8":
+        # a Latin-1 byte inside an otherwise good file
+        good = GOOD_INPUT[kind](ws)
+        path.write_bytes(good[:8] + b"\xe9" + good[8:])
+    assert main(["--out", str(tmp_path / "o"), *_hostile_argv(ws, kind, str(path))]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: ")
+    assert not (tmp_path / "o" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("out", ["afile", "afile/sub"])
+def test_out_naming_a_file_exit_2(tmp_path, capsys, out):
+    (tmp_path / "afile").write_text("not a directory\n")
+    out = tmp_path / out
+    assert main(["--out", str(out), "synth", "--per-style", "3", "--duration", "0.5"]) == 2
+    assert f"error: {out}: cannot create the output directory" in capsys.readouterr().err
+    assert (tmp_path / "afile").read_text() == "not a directory\n"
+
+
+def test_bad_header_names_the_file_once(ws, tmp_path, capsys):
+    lines = sorted((ws / "corpus").glob("*.jsonl"))[0].read_text().split("\n")
+    bad = tmp_path / "trunc.jsonl"
+    bad.write_text("\n".join([lines[0][:20]] + lines[1:]))
+    assert main(["--out", str(tmp_path / "o"), "extract", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert "bad header JSON" in err and f"[{bad}:1]" in err
+    assert err.count("trunc.jsonl") == 1
+
+
+def test_gap_error_names_the_file_once(tmp_path, capsys):
+    from conftest import make_sequence, static_pose_positions
+    from lmakit.sequence import save_sequence
+
+    pos = static_pose_positions(20)
+    pos[5:15, 3, :] = np.nan  # 10 frames > max_gap 6
+    path = tmp_path / "gappy.jsonl"
+    save_sequence(make_sequence(pos), path)
+    assert main(["--out", str(tmp_path / "o"), "extract", "--w", "5", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: joint ") and "frames 5..14" in err
+    assert err.count("gappy.jsonl") == 1
+

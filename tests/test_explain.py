@@ -202,20 +202,20 @@ def test_permutation_importance_deterministic():
 # --- summaries and CSV ------------------------------------------------------------
 
 
-def _fake_explanations():
-    names = ("f0", "f1", "f2")
-    classes = ("a", "b")
-    phi1 = np.array([[0.1, -0.3, 0.0], [-0.1, 0.3, 0.0]])
-    phi2 = np.array([[0.2, -0.1, 0.0], [-0.2, 0.1, 0.0]])
-    mk = lambda phi: ShapExplanation(
-        phi=phi, base=np.array([0.5, 0.5]), x=np.zeros(3),
-        class_names=classes, feature_names=names,
+def _fake_explanation():
+    """Two rows, two classes, three features."""
+    phi = np.array([
+        [[0.1, -0.3, 0.0], [-0.1, 0.3, 0.0]],
+        [[0.2, -0.1, 0.0], [-0.2, 0.1, 0.0]],
+    ])
+    return ShapExplanation(
+        phi=phi, base=np.array([0.5, 0.5]), x=np.zeros((2, 3)),
+        class_names=("a", "b"), feature_names=("f0", "f1", "f2"),
     )
-    return [mk(phi1), mk(phi2)]
 
 
 def test_summary_rank_mean_abs_ordering():
-    ranking = summary_rank(_fake_explanations())
+    ranking = summary_rank(_fake_explanation())
     # mean |phi|: f0 = 0.15, f1 = 0.2, f2 = 0
     assert [r[1] for r in ranking] == ["f1", "f0", "f2"]
     assert ranking[0][2] == pytest.approx(0.2)
@@ -228,25 +228,30 @@ def test_summary_rank_tie_breaks_by_index():
         phi=np.array([[0.2, 0.2]]), base=np.array([0.5]), x=np.zeros(2),
         class_names=("a",), feature_names=names,
     )
-    ranking = summary_rank([e])
+    ranking = summary_rank(e)
     assert [r[1] for r in ranking] == ["f0", "f1"]
 
 
 def test_summary_rank_empty_raises():
+    empty = ShapExplanation(
+        phi=np.zeros((0, 2, 3)), base=np.array([0.5, 0.5]), x=np.zeros((0, 3)),
+        class_names=("a", "b"), feature_names=("f0", "f1", "f2"),
+    )
     with pytest.raises(LmaError):
-        summary_rank([])
+        summary_rank(empty)
 
 
 def test_csv_writers(tmp_path):
-    exps = _fake_explanations()
+    exp = _fake_explanation()
     p1 = tmp_path / "explanations.csv"
     p2 = tmp_path / "summary.csv"
-    write_explanations_csv(exps, p1, instance_ids=["w0", "w1"])
-    write_summary_csv(summary_rank(exps), p2)
+    write_explanations_csv(exp, p1)
+    write_summary_csv(summary_rank(exp), p2)
     lines = p1.read_text(encoding="utf-8").strip().split("\n")
     assert lines[0] == "instance,class,feature,phi,base"
     assert len(lines) == 1 + 2 * 2 * 3
-    assert lines[1].startswith("w0,a,f0,")
+    assert lines[1].startswith("0,a,f0,")
+    assert lines[7].startswith("1,a,f0,")
     s = p2.read_text(encoding="utf-8").strip().split("\n")
     assert s[0] == "feature,mean_abs_phi,rank"
     assert s[1].split(",") == ["f1", "0.2", "1"]
@@ -296,11 +301,11 @@ def test_csv_quotes_names_like_csv_writer(tmp_path):
         class_names=('a,"b"',), feature_names=("f 0", "f\n1"),
     )
     path = tmp_path / "q.csv"
-    write_explanations_csv(e, path, instance_ids=["id,1"])
+    write_explanations_csv(e, path)
     assert path.read_text(encoding="utf-8") == (
         'instance,class,feature,phi,base\n'
-        '"id,1","a,""b""",f 0,0.5,0.125\n'
-        '"id,1","a,""b""","f\n1",-0.25,0.125\n'
+        '0,"a,""b""",f 0,0.5,0.125\n'
+        '0,"a,""b""","f\n1",-0.25,0.125\n'
     )
 
 

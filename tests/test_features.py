@@ -557,6 +557,25 @@ def test_csv_non_finite_cell_rejected_with_path(tmp_path):
         read_features_csv(path)
 
 
+def test_csv_quoted_cells_and_line_numbers(tmp_path):
+    # a label with a comma, quotes, a line end and a form feed takes two
+    # physical lines per row; errors give the row's last physical line
+    from lmakit.errors import SchemaError
+
+    label = 'a,"b"\nc\x0cd'
+    table = assemble_features(make_sequence(static_pose_positions(40), label=label), cfg=_cfg())
+    path = tmp_path / "features.csv"
+    write_features_csv(table, path)
+    back = read_features_csv(path)
+    assert back.labels == (label,) * len(table)
+    np.testing.assert_array_equal(back.starts, table.starts)
+    lines = path.read_text(encoding="utf-8").split("\n")
+    lines[3] = "x" + lines[3][lines[3].index(","):]  # the first line of the second row
+    path.write_text("\n".join(lines), encoding="utf-8")
+    with pytest.raises(SchemaError, match="features.csv:5: non-numeric"):
+        read_features_csv(path)
+
+
 def test_csv_schema_mismatch_rejected(tmp_path):
     from lmakit.errors import SchemaError
 

@@ -1,8 +1,11 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_sequence, static_pose_positions
 from lmakit.errors import GapError, SequenceFormatError
@@ -150,6 +153,106 @@ def test_repair_identity_and_idempotent():
     fixed = validate_and_repair(make_sequence(pos2))
     again = validate_and_repair(fixed)
     np.testing.assert_array_equal(fixed.positions, again.positions)
+
+
+def _repair_reference(seq, max_gap=6):
+    """`validate_and_repair` as a frame-by-frame loop over each joint's runs."""
+    pos = seq.positions
+    if np.all(np.isfinite(pos)):
+        return seq
+    if np.any(np.isinf(pos)):
+        raise GapError("sequence contains infinite coordinates")
+    repaired = pos.copy()
+    T = seq.n_frames
+    for j in range(seq.n_joints):
+        bad = np.any(np.isnan(pos[:, j, :]), axis=1)
+        if not bad.any():
+            continue
+        name = seq.skeleton.joint_names[j]
+        if bad[0] or bad[-1]:
+            raise GapError(
+                f"joint '{name}' has missing data at a sequence boundary",
+                joint=name,
+            )
+        t = 0
+        while t < T:
+            if not bad[t]:
+                t += 1
+                continue
+            start = t
+            while t < T and bad[t]:
+                t += 1
+            run = t - start
+            if run > max_gap:
+                raise GapError(
+                    f"joint '{name}' missing for frames {start}..{t - 1} "
+                    f"({run} > max_gap={max_gap})",
+                    joint=name,
+                    frames=(start, t - 1),
+                )
+            lo, hi = start - 1, t
+            for k in range(start, t):
+                frac = (k - lo) / (hi - lo)
+                repaired[k, j, :] = (1 - frac) * pos[lo, j, :] + frac * pos[hi, j, :]
+    return replace(seq, positions=repaired)
+
+
+def _outcome(repair, seq, max_gap):
+    try:
+        return repair(seq, max_gap=max_gap).positions
+    except GapError as e:
+        return (str(e), e.joint, e.frames)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_frames=st.integers(2, 40),
+    p_missing=st.sampled_from([0.0, 0.02, 0.1, 0.3]),
+    run_length=st.integers(1, 9),
+    max_gap=st.integers(0, 8),
+    ends_missing=st.booleans(),
+    inf=st.booleans(),
+)
+def test_repair_matches_frame_loop(seed, n_frames, p_missing, run_length, max_gap, ends_missing, inf):
+    # scattered missing coordinates plus one missing run of a whole joint,
+    # on coordinates of all magnitudes; the repair must equal the loop bit
+    # for bit, or raise the same error
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.integers(-3, 4)
+    pos = static_pose_positions(n_frames) + rng.normal(0.0, scale, (n_frames, 13, 3))
+    missing = rng.random(pos.shape) < p_missing
+    start = int(rng.integers(0, n_frames))
+    missing[start:start + run_length, int(rng.integers(13))] = True
+    if not ends_missing:
+        missing[[0, -1]] = False
+    pos[missing] = np.nan
+    if inf and rng.random() < 0.3:
+        pos[tuple(rng.integers(s) for s in pos.shape)] = np.inf
+    seq = make_sequence(pos)
+    got = _outcome(validate_and_repair, seq, max_gap)
+    want = _outcome(_repair_reference, seq, max_gap)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert isinstance(got, np.ndarray) and np.array_equal(got, want, equal_nan=True)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_repair_reports_the_first_joint_and_its_boundary_first():
+    pos = static_pose_positions(30)
+    pos[3:12, 5, 0] = np.nan  # a long run on joint 5
+    pos[-1, 7, 2] = np.nan  # the last frame on joint 7
+    pos[0, 9, 1] = np.nan  # the first frame on joint 9
+    seq = make_sequence(pos)
+    with pytest.raises(GapError) as e:
+        validate_and_repair(seq, max_gap=6)
+    assert (e.value.joint, e.value.frames) == (seq.skeleton.joint_names[5], (3, 11))
+    pos = pos.copy()
+    pos[-1, 5, 1] = np.nan  # a boundary fault outranks joint 5's long run
+    with pytest.raises(GapError, match="boundary") as e:
+        validate_and_repair(make_sequence(pos), max_gap=6)
+    assert e.value.joint == seq.skeleton.joint_names[5]
 
 
 def test_resample_decimation_count():
