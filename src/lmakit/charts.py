@@ -1,5 +1,7 @@
 """Minimal dependency-free SVG line charts for CLI outputs."""
 
+from .files import open_output
+
 _WIDTH, _HEIGHT = 640, 400
 _MARGIN = 55
 
@@ -81,5 +83,5 @@ def svg_line_chart(series, path, xlabel="", ylabel="", title=""):
                 f'<text x="{_WIDTH - _MARGIN - 65}" y="{ly + 4}" font-size="11">{name}</text>'
             )
     parts.append("</svg>")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with open_output(path) as fh:
         fh.write("\n".join(parts) + "\n")

@@ -18,7 +18,7 @@ from math import factorial
 import numpy as np
 
 from .errors import LmaError
-from .files import write_csv
+from .files import open_output, write_csv
 from .forest import predict
 
 
@@ -235,7 +235,7 @@ def write_explanations_csv(explanation, path):
     phi = _stacked(explanation)
     names = [[_csv_cells(c, f) for f in explanation.feature_names] for c in explanation.class_names]
     base = [f"{v:.9g}" for v in explanation.base.tolist()]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with open_output(path) as fh:
         fh.write("instance,class,feature,phi,base\n")
         for n in range(len(phi)):
             iid = str(n)  # once per instance, not once per line

@@ -382,25 +382,27 @@ def read_features_csv(path):
     # lines with their '\n' ends, as a text file yields them: csv needs the
     # ends inside quoted cells (io.StringIO would hold 4 bytes per character)
     reader = csv.reader(re.findall(r"[^\n]*\n|[^\n]+", read_text(path)))
-    header = next(reader, None)
     expected = list(FEATURE_NAMES) + list(CSV_EXTRA_COLUMNS)
-    if header != expected:
-        raise SchemaError(f"feature CSV header does not match the canonical layout: {path}")
     X, labels, groups, starts = [], [], [], []
-    for row in reader:
-        if not row:
-            continue
-        if len(row) != 58:
-            raise SchemaError(
-                f"{path}:{reader.line_num}: feature CSV row has {len(row)} columns, expected 58"
-            )
-        try:
-            X.append([float(v) for v in row[:55]])
-            starts.append(int(row[57]))
-        except ValueError as e:
-            raise SchemaError(f"{path}:{reader.line_num}: non-numeric feature CSV cell: {e}") from e
-        labels.append(row[55] or None)
-        groups.append(row[56])
+    try:
+        if next(reader, None) != expected:
+            raise SchemaError(f"feature CSV header does not match the canonical layout: {path}")
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != 58:
+                raise SchemaError(
+                    f"{path}:{reader.line_num}: feature CSV row has {len(row)} columns, expected 58"
+                )
+            try:
+                X.append([float(v) for v in row[:55]])
+                starts.append(int(row[57]))
+            except ValueError as e:
+                raise SchemaError(f"{path}:{reader.line_num}: non-numeric feature CSV cell: {e}") from e
+            labels.append(row[55] or None)
+            groups.append(row[56])
+    except csv.Error as e:  # such as a cell over the csv module's field size limit
+        raise SchemaError(f"{path}:{reader.line_num}: malformed feature CSV: {e}") from e
     try:
         return FeatureTable(np.reshape(X, (-1, len(FEATURE_NAMES))), labels, groups, starts)
     except LmaError as e:

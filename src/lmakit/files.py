@@ -1,10 +1,11 @@
-"""The file boundary: every input file is read through `read_text`, and the
-command-line tables and JSON documents are written by `write_csv` and
-`write_json`.  A missing, unreadable or non-UTF-8 input is a data error
+"""The file boundary: every input file is read through `read_text`, and every
+output file is opened through `open_output`.  A missing, unreadable or
+non-UTF-8 input, and an output that cannot be written, is a data error
 naming its path."""
 
 import csv
 import json
+from contextlib import contextmanager
 
 from .errors import LmaError
 
@@ -20,9 +21,19 @@ def read_text(path):
         raise LmaError(f"{path}: not UTF-8 text: {e.reason} at byte {e.start}") from e
 
 
+@contextmanager
+def open_output(path):
+    """`path` opened for writing UTF-8 text, with no line-end translation."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            yield fh
+    except OSError as e:
+        raise LmaError(f"{path}: cannot write: {e.strerror or e}") from e
+
+
 def write_csv(path, header, rows):
     """A header line, then one line per row, each ending in '\\n'."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with open_output(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
@@ -30,6 +41,6 @@ def write_csv(path, header, rows):
 
 def write_json(path, payload):
     """`payload` indented by 2 with sorted keys, and a final newline."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with open_output(path) as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")

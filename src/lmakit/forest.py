@@ -9,7 +9,7 @@ one flat-array view of them (`FlatForest`), built and checked once per model.
 
 import json
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from functools import cached_property
 from itertools import product
 from numbers import Integral, Real
@@ -17,7 +17,7 @@ from numbers import Integral, Real
 import numpy as np
 
 from .errors import LmaError, SchemaError
-from .files import read_text
+from .files import open_output, read_text
 
 MODEL_FORMAT_VERSION = 1
 
@@ -76,87 +76,77 @@ class ForestParams:
             raise LmaError("features_per_split must be >= 1")
 
 
-def _gini_candidates(values, codes, n_classes, min_leaf):
-    """Best (gini, threshold) for one feature at this node, or None.
+def _best_split(X, idx, feats, node_codes, totals, min_leaf):
+    """Best (gini, feature, threshold) over the sorted sampled features
+    `feats` at the node holding rows `idx`, or None, in one (feats, n) pass.
 
-    Thresholds are midpoints between consecutive distinct sorted values (the
-    lower one where the midpoint rounds onto the upper, so both sides keep
-    their samples); ties in gini resolve to the lowest threshold.
+    Left of a split, the sum of squared class counts is the running sum of
+    2r + 1, r being each sample's rank among the earlier samples of its
+    class in value order, so every Gini value is exact.  Thresholds are
+    midpoints between consecutive distinct sorted values (the lower one
+    where the midpoint rounds onto the upper, so both sides keep their
+    samples).  A feature's ties go to its lowest threshold; a later feature
+    wins only if its gini is more than 1e-15 lower.
     """
-    order = np.argsort(values, kind="stable")
-    v = values[order]
-    c = codes[order]
-    n = len(v)
-    onehot = np.zeros((n, n_classes))
-    onehot[np.arange(n), c] = 1.0
-    left = np.cumsum(onehot, axis=0)  # left[k-1] = counts of first k samples
-    total = left[-1]
-    ks = np.arange(1, n)  # split size of the left side
+    values = X[idx[None, :], feats[:, None]]
+    order = np.argsort(values, axis=1, kind="stable")
+    rows = np.arange(len(feats))[:, None]
+    v = values[rows, order]
+    c = node_codes[order]
+    n = len(idx)
+    nl = np.arange(1.0, n)  # split size of the left side
+    nr = n - nl
     # splits allowed only between distinct values and obeying the leaf minimum
-    valid = v[1:] > v[:-1]
-    valid &= (ks >= min_leaf) & (n - ks >= min_leaf)
+    valid = (v[:, 1:] > v[:, :-1]) & (nl >= min_leaf) & (nr >= min_leaf)
     if not valid.any():
         return None
-    lc = left[:-1]
-    rc = total[None, :] - lc
-    nl = ks.astype(float)
-    nr = (n - ks).astype(float)
-    gini_l = 1.0 - np.sum(lc * lc, axis=1) / (nl * nl)
-    gini_r = 1.0 - np.sum(rc * rc, axis=1) / (nr * nr)
-    weighted = (nl * gini_l + nr * gini_r) / n
-    weighted = np.where(valid, weighted, np.inf)
-    k = int(np.argmin(weighted))  # argmin returns the first (lowest threshold)
-    thr = 0.5 * (v[k] + v[k + 1])
-    if thr >= v[k + 1]:
-        thr = v[k]
-    return float(weighted[k]), float(thr)
+    # grouped by class, the samples' ranks are 0..total-1 within each class
+    rank = np.empty(c.shape, dtype=np.intp)
+    first = np.repeat(np.cumsum(totals) - totals, totals)
+    rank[rows, np.argsort(c, axis=1, kind="stable")] = np.arange(n) - first
+    later = totals[c] - 1 - rank
+    sq_l = np.cumsum(2 * rank + 1, axis=1)[:, :-1]
+    sq_r = np.cumsum(2 * later[:, ::-1] + 1, axis=1)[:, -2::-1]
+    gini_l = 1.0 - sq_l / (nl * nl)
+    gini_r = 1.0 - sq_r / (nr * nr)
+    weighted = np.where(valid, (nl * gini_l + nr * gini_r) / n, np.inf)
+    # argmin takes each row's first, lowest, threshold
+    best = None
+    for i, (gini, k) in enumerate(zip(weighted.min(axis=1).tolist(),
+                                      weighted.argmin(axis=1).tolist())):
+        if gini != math.inf and (best is None or gini < best[0] - 1e-15):
+            best = (gini, i, k)
+    gini, i, k = best
+    thr = 0.5 * (v[i, k] + v[i, k + 1])
+    if thr >= v[i, k + 1]:
+        thr = v[i, k]
+    return gini, int(feats[i]), float(thr)
 
 
 def _grow_tree(X, codes, n_classes, params, rng):
     n_features = X.shape[1]
     mtry = min(params.features_per_split, n_features)
-
-    def leaf(idx):
-        counts = np.bincount(codes[idx], minlength=n_classes)
-        return {"counts": counts.tolist(), "cover": int(len(idx))}
+    # the narrowest type: numpy's stable argsort of 8- and 16-bit integers is a radix sort
+    codes = codes.astype(np.min_scalar_type(n_classes))
 
     def build(idx, depth):
         node_codes = codes[idx]
-        if (
-            len(idx) < 2 * params.min_samples_leaf
-            or len(np.unique(node_codes)) == 1
-            or (params.max_depth is not None and depth >= params.max_depth)
-        ):
-            return leaf(idx)
-        feats = np.sort(rng.choice(n_features, size=mtry, replace=False))
+        totals = np.bincount(node_codes, minlength=n_classes)
         best = None
-        for f in feats:
-            cand = _gini_candidates(X[idx, f], node_codes, n_classes, params.min_samples_leaf)
-            if cand is None:
-                continue
-            gini, thr = cand
-            if best is None or gini < best[0] - 1e-15:
-                best = (gini, int(f), thr)
+        if (len(idx) >= 2 * params.min_samples_leaf and np.count_nonzero(totals) > 1
+                and depth < (params.max_depth or math.inf)):
+            feats = np.sort(rng.choice(n_features, size=mtry, replace=False))
+            best = _best_split(X, idx, feats, node_codes, totals, params.min_samples_leaf)
         if best is None:
-            return leaf(idx)
+            return {"counts": totals.tolist(), "cover": int(len(idx))}
         _, f, thr = best
         mask = X[idx, f] <= thr
         left = build(idx[mask], depth + 1)
         right = build(idx[~mask], depth + 1)
-        return {
-            "feature": f,
-            "threshold": thr,
-            "cover": int(len(idx)),
-            "left": left,
-            "right": right,
-        }
+        return {"feature": f, "threshold": thr, "cover": int(len(idx)), "left": left, "right": right}
 
     n = X.shape[0]
-    if params.bootstrap:
-        idx = np.sort(rng.integers(0, n, size=n))
-    else:
-        idx = np.arange(n)
-    return build(idx, 0)
+    return build(np.sort(rng.integers(0, n, size=n)) if params.bootstrap else np.arange(n), 0)
 
 
 def _is_int(v):
@@ -392,14 +382,7 @@ class ForestModel:
     def to_json(self):
         payload = {
             "format_version": self.format_version,
-            "params": {
-                "n_trees": self.params.n_trees,
-                "max_depth": self.params.max_depth,
-                "min_samples_leaf": self.params.min_samples_leaf,
-                "features_per_split": self.params.features_per_split,
-                "bootstrap": self.params.bootstrap,
-                "seed": self.params.seed,
-            },
+            "params": asdict(self.params),
             "class_names": list(self.class_names),
             "feature_names": list(self.feature_names),
             "trees": list(self.trees),
@@ -407,7 +390,7 @@ class ForestModel:
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
     def save(self, path):
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        with open_output(path) as fh:
             fh.write(self.to_json() + "\n")
 
     @staticmethod
@@ -587,10 +570,7 @@ def cross_val_accuracy(data, params, k=3, seed=0):
 def expand_grid(grid):
     """Dict of lists -> deterministic list of ForestParams lattice points."""
     keys = sorted(grid)
-    points = []
-    for combo in product(*(grid[k] for k in keys)):
-        points.append(ForestParams(**dict(zip(keys, combo))))
-    return points
+    return [ForestParams(**dict(zip(keys, combo))) for combo in product(*(grid[k] for k in keys))]
 
 
 def grid_search(data, grid, k=3, seed=0):
@@ -617,17 +597,8 @@ def grid_search(data, grid, k=3, seed=0):
             }
         )
 
-    def depth_key(p):
-        return np.inf if p.max_depth is None else p.max_depth
-
-    best = max(
-        report,
-        key=lambda r: (
-            r["mean_accuracy"],
-            -r["params"].n_trees,
-            -depth_key(r["params"]),
-        ),
-    )
+    best = max(report, key=lambda r: (r["mean_accuracy"], -r["params"].n_trees,
+                                      -(r["params"].max_depth or math.inf)))
     return best["params"], report
 
 

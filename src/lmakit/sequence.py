@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import GapError, SequenceFormatError, SkeletonError
-from .files import read_text
+from .files import open_output, read_text
 from .skeleton import SkeletonSpec, default_weight_for
 
 FORMAT_VERSION = 1
@@ -71,6 +71,14 @@ class JointSequence:
         return self
 
 
+def _is_number(v):
+    """A finite JSON number; bool is an int subclass, so compare exact types."""
+    try:
+        return type(v) in (int, float) and math.isfinite(v)
+    except OverflowError:  # an integer beyond float range
+        return False
+
+
 def _parse_header(obj, path):
     if not isinstance(obj, dict):
         raise SequenceFormatError("header must be a JSON object", path, 1)
@@ -83,8 +91,8 @@ def _parse_header(obj, path):
             f"units must be 'meters', got {obj.get('units')!r}", path, 1
         )
     fps = obj.get("fps")
-    if not isinstance(fps, (int, float)) or fps <= 0:
-        raise SequenceFormatError(f"invalid fps {fps!r}", path, 1)
+    if not _is_number(fps) or fps <= 0:
+        raise SequenceFormatError(f"fps must be a finite positive number, got {fps!r}", path, 1)
     joints = obj.get("joints")
     if not joints or not all(isinstance(j, str) for j in joints):
         raise SequenceFormatError("header must list joint names", path, 1)
@@ -94,12 +102,14 @@ def _parse_header(obj, path):
     name_to_idx = {n: i for i, n in enumerate(joints)}
     role_map = {}
     for role, name in roles.items():
-        if name not in name_to_idx:
+        if not isinstance(name, str) or name not in name_to_idx:
             raise SequenceFormatError(
                 f"role '{role}' names unknown joint '{name}'", path, 1
             )
         role_map[role] = name_to_idx[name]
     weights_in = obj.get("weights", {})
+    if not isinstance(weights_in, dict) or not all(map(_is_number, weights_in.values())):
+        raise SequenceFormatError("weights must map joint names to finite numbers", path, 1)
     weights = np.array(
         [float(weights_in.get(n, default_weight_for(n))) for n in joints]
     )
@@ -177,7 +187,7 @@ def save_sequence(seq, path):
         header["label"] = seq.label
     if seq.group_id:
         header["group_id"] = seq.group_id
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with open_output(path) as fh:
         fh.write(json.dumps(header) + "\n")
         for frame in seq.positions:
             row = [

@@ -1,13 +1,105 @@
-"""Per-row references for the flat-array forest: the nested-dict walk that
-`predict_proba` replaced, and the scalar path-dependent TreeSHAP recursion
-(Lundberg et al. 2020, Algorithm 2) that the row-batched `tree_shap`
-replaced.  Both read the model's nested-dict trees, one row at a time."""
+"""References for the forest: the one-hot, one-feature-at-a-time split
+search and tree grower that the batched count-rank search replaced; the
+nested-dict walk that `predict_proba` replaced; and the scalar
+path-dependent TreeSHAP recursion (Lundberg et al. 2020, Algorithm 2) that
+the row-batched `tree_shap` replaced.  The last two read the model's
+nested-dict trees, one row at a time."""
 
 import csv
 
 import numpy as np
 
 from lmakit.forest import ForestModel, ForestParams
+
+
+def gini_candidates(values, codes, n_classes, min_leaf):
+    """Best (gini, threshold) for one feature at this node, or None.
+
+    Thresholds are midpoints between consecutive distinct sorted values (the
+    lower one where the midpoint rounds onto the upper, so both sides keep
+    their samples); ties in gini resolve to the lowest threshold.
+    """
+    order = np.argsort(values, kind="stable")
+    v = values[order]
+    c = codes[order]
+    n = len(v)
+    onehot = np.zeros((n, n_classes))
+    onehot[np.arange(n), c] = 1.0
+    left = np.cumsum(onehot, axis=0)  # left[k-1] = counts of first k samples
+    total = left[-1]
+    ks = np.arange(1, n)  # split size of the left side
+    # splits allowed only between distinct values and obeying the leaf minimum
+    valid = v[1:] > v[:-1]
+    valid &= (ks >= min_leaf) & (n - ks >= min_leaf)
+    if not valid.any():
+        return None
+    lc = left[:-1]
+    rc = total[None, :] - lc
+    nl = ks.astype(float)
+    nr = (n - ks).astype(float)
+    gini_l = 1.0 - np.sum(lc * lc, axis=1) / (nl * nl)
+    gini_r = 1.0 - np.sum(rc * rc, axis=1) / (nr * nr)
+    weighted = (nl * gini_l + nr * gini_r) / n
+    weighted = np.where(valid, weighted, np.inf)
+    k = int(np.argmin(weighted))  # argmin returns the first (lowest threshold)
+    thr = 0.5 * (v[k] + v[k + 1])
+    if thr >= v[k + 1]:
+        thr = v[k]
+    return float(weighted[k]), float(thr)
+
+
+def best_split(X, idx, feats, codes, n_classes, min_leaf):
+    """Best (gini, feature, threshold) over `feats` in order, or None: a later
+    feature wins only if its gini is more than 1e-15 lower."""
+    best = None
+    for f in feats:
+        cand = gini_candidates(X[idx, f], codes[idx], n_classes, min_leaf)
+        if cand is None:
+            continue
+        gini, thr = cand
+        if best is None or gini < best[0] - 1e-15:
+            best = (gini, int(f), thr)
+    return best
+
+
+def grow_tree(X, codes, n_classes, params, rng):
+    """One nested-dict tree, drawing from `rng` as `lmakit.forest._grow_tree` does."""
+    n_features = X.shape[1]
+    mtry = min(params.features_per_split, n_features)
+
+    def leaf(idx):
+        counts = np.bincount(codes[idx], minlength=n_classes)
+        return {"counts": counts.tolist(), "cover": int(len(idx))}
+
+    def build(idx, depth):
+        if (
+            len(idx) < 2 * params.min_samples_leaf
+            or len(np.unique(codes[idx])) == 1
+            or (params.max_depth is not None and depth >= params.max_depth)
+        ):
+            return leaf(idx)
+        feats = np.sort(rng.choice(n_features, size=mtry, replace=False))
+        best = best_split(X, idx, feats, codes, n_classes, params.min_samples_leaf)
+        if best is None:
+            return leaf(idx)
+        _, f, thr = best
+        mask = X[idx, f] <= thr
+        left = build(idx[mask], depth + 1)
+        right = build(idx[~mask], depth + 1)
+        return {
+            "feature": f,
+            "threshold": thr,
+            "cover": int(len(idx)),
+            "left": left,
+            "right": right,
+        }
+
+    n = X.shape[0]
+    if params.bootstrap:
+        idx = np.sort(rng.integers(0, n, size=n))
+    else:
+        idx = np.arange(n)
+    return build(idx, 0)
 
 
 def leaf_distribution(node):

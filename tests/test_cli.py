@@ -383,6 +383,64 @@ def test_unlabelled_feature_csv_exit_2(ws, tmp_path, capsys, command):
     assert f"{path}: feature CSV lacks labels" in capsys.readouterr().err
 
 
+def test_oversized_feature_csv_cell_exit_2(ws, tmp_path, capsys):
+    # a quoted cell beyond the csv module's 131072-character field limit
+    lines = (ws / "feats" / "features.csv").read_text().split("\n")
+    cells = lines[1].split(",")
+    cells[56] = '"' + "g," * 70000 + '"'
+    path = tmp_path / "features.csv"
+    path.write_text("\n".join([lines[0], ",".join(cells)] + lines[2:]))
+    assert main(["--out", str(tmp_path / "o"), "train", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}:2: malformed feature CSV")
+
+
+HOSTILE_HEADERS = {
+    "string_weight": lambda h: h.update(weights={h["joints"][0]: "heavy"}),
+    "weights_list": lambda h: h.update(weights=[1]),
+    "role_list": lambda h: h["roles"].update(head=["a"]),
+    "fps_true": lambda h: h.update(fps=True),
+    "fps_nan": lambda h: h.update(fps=float("nan")),
+    "fps_infinity": lambda h: h.update(fps=float("inf")),
+}
+
+
+@pytest.mark.parametrize("case", list(HOSTILE_HEADERS))
+def test_hostile_header_types_exit_2(ws, tmp_path, capsys, case):
+    lines = sorted((ws / "corpus").glob("*.jsonl"))[0].read_text().split("\n")
+    header = json.loads(lines[0])
+    HOSTILE_HEADERS[case](header)
+    path = tmp_path / "seq.jsonl"
+    path.write_text("\n".join([json.dumps(header)] + lines[1:]))
+    assert main(["--out", str(tmp_path / "o"), "extract", "--w", "5", str(path)]) == 2
+    assert f"[{path}:1]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,name", [
+    ("synth", None),
+    ("extract", "features.csv"),
+    ("extract", "manifest.json"),
+    ("train", "model.json"),
+    ("explain", "explanations.csv"),
+    ("kinplot", "kinematics.svg"),
+])
+def test_output_path_holding_a_directory_exit_2(ws, tmp_path, capsys, command, name):
+    feats, model = str(ws / "feats" / "features.csv"), str(ws / "model" / "model.json")
+    seqs = sorted((ws / "corpus").glob("*.jsonl"))
+    args = {
+        "synth": ["--seed", "7", "synth", "--per-style", "3", "--duration", "1.0",
+                  "--noise", "0.003"],
+        "extract": ["extract", "--w", "30", "--stride", "15", str(seqs[0])],
+        "train": ["train", feats, "--n-trees", "2", "--max-depth", "2"],
+        "explain": ["explain", model, feats],
+        "kinplot": ["kinplot", "--w", "20", str(seqs[0])],
+    }[command]
+    out = tmp_path / "o"
+    blocked = out / (name or seqs[0].name)
+    blocked.mkdir(parents=True)
+    assert main(["--out", str(out), *args]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {blocked}: cannot write: ")
+
+
 def test_kinplot_two_frame_sequence_exit_2(tmp_path, capsys):
     from conftest import make_sequence, static_pose_positions
     from lmakit.sequence import save_sequence

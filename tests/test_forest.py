@@ -5,13 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from forest_reference import dict_predict_proba, per_row_tree_shap, random_forest
+from forest_reference import (
+    best_split,
+    dict_predict_proba,
+    grow_tree,
+    per_row_tree_shap,
+    random_forest,
+)
 from lmakit.errors import LmaError, SchemaError
 from lmakit.forest import (
     Dataset,
     ForestModel,
     ForestParams,
-    _gini_candidates,
+    _best_split,
+    _tree_rng,
     cross_val_accuracy,
     expand_grid,
     grid_search,
@@ -42,10 +49,18 @@ def _blobs(seed=0, n_per=60, n_classes=3, n_features=6, sep=3.0):
 # --- gini split search -------------------------------------------------------
 
 
+def _one_feature_split(values, codes, n_classes, min_leaf):
+    """(gini, threshold) of `_best_split` on the single feature `values`, or None."""
+    X = np.asarray(values, dtype=float)[:, None]
+    totals = np.bincount(codes, minlength=n_classes)
+    best = _best_split(X, np.arange(len(X)), np.array([0]), codes, totals, min_leaf)
+    return None if best is None else (best[0], best[2])
+
+
 def test_gini_perfect_split_midpoint():
     values = np.array([0.0, 1.0, 2.0, 3.0])
     codes = np.array([0, 0, 1, 1])
-    gini, thr = _gini_candidates(values, codes, 2, 1)
+    gini, thr = _one_feature_split(values, codes, 2, 1)
     assert gini == pytest.approx(0.0)
     assert thr == pytest.approx(1.5)
 
@@ -56,7 +71,7 @@ def test_gini_hand_computed_impurity():
     codes = np.array([0, 0, 1, 1])
     # force the imperfect split by moving one label
     codes2 = np.array([0, 1, 1, 0])
-    gini, thr = _gini_candidates(values, codes2, 2, 1)
+    gini, thr = _one_feature_split(values, codes2, 2, 1)
     # candidates: k=1 -> (1/4)*0 + (3/4)*(1 - (1/9 + 4/9)) = 1/3
     #             k=2 -> (2/4)*0.5 + (2/4)*0.5 = 0.5
     #             k=3 -> symmetric to k=1 -> 1/3; tie resolves low threshold
@@ -67,13 +82,13 @@ def test_gini_hand_computed_impurity():
 def test_gini_respects_min_leaf():
     values = np.array([0.0, 1.0, 2.0, 3.0])
     codes = np.array([0, 0, 1, 1])
-    gini, thr = _gini_candidates(values, codes, 2, 2)
+    gini, thr = _one_feature_split(values, codes, 2, 2)
     assert thr == pytest.approx(1.5)
-    assert _gini_candidates(values, codes, 2, 3) is None
+    assert _one_feature_split(values, codes, 2, 3) is None
 
 
 def test_gini_constant_feature_none():
-    assert _gini_candidates(np.ones(6), np.array([0, 1] * 3), 2, 1) is None
+    assert _one_feature_split(np.ones(6), np.array([0, 1] * 3), 2, 1) is None
 
 
 def _adjacent_doubles():
@@ -85,7 +100,7 @@ def test_gini_threshold_between_adjacent_doubles():
     # 0.5 * (a + b) rounds onto b, which would send every sample left
     a, b = _adjacent_doubles()
     values = np.array([a, a, b, b])
-    _, thr = _gini_candidates(values, np.array([0, 0, 1, 1]), 2, 1)
+    _, thr = _one_feature_split(values, np.array([0, 0, 1, 1]), 2, 1)
     assert thr == a
     assert np.count_nonzero(values <= thr) == 2
 
@@ -98,6 +113,63 @@ def test_split_on_adjacent_doubles_keeps_both_children_non_empty():
     root = train(data, params).trees[0]
     assert root["left"]["cover"] == 2 and root["right"]["cover"] == 2
     assert root["left"]["counts"] == [2, 0] and root["right"]["counts"] == [0, 2]
+
+
+_COARSE = (-1.0, 0.0, 0.5, 1.0, *_adjacent_doubles())
+
+
+@st.composite
+def _nodes(draw):
+    """A node's data: coarse and adjacent-double values (ties, constant
+    columns), bootstrap duplicates, and classes absent from the node."""
+    n_rows = draw(st.integers(1, 30))
+    n_features = draw(st.integers(1, 10))
+    n_classes = draw(st.integers(1, 5))
+    pool = st.sampled_from(_COARSE)
+    if draw(st.booleans()):
+        pool |= st.floats(-10, 10, allow_nan=False)
+    X = np.array(draw(st.lists(st.lists(pool, min_size=n_features, max_size=n_features),
+                               min_size=n_rows, max_size=n_rows)))
+    for j in draw(st.lists(st.integers(0, n_features - 1), max_size=n_features)):
+        X[:, j] = X[0, j]
+    codes = np.array(draw(st.lists(st.integers(0, n_classes - 1), min_size=n_rows,
+                                   max_size=n_rows)))
+    idx = np.sort(np.array(draw(st.lists(st.integers(0, n_rows - 1), min_size=2, max_size=40))))
+    feats = np.array(sorted(draw(st.sets(st.integers(0, n_features - 1), min_size=1))))
+    min_leaf = draw(st.integers(1, max(1, len(idx) // 2)))
+    return X, codes, n_classes, idx, feats, min_leaf
+
+
+@settings(max_examples=300, deadline=None)
+@given(_nodes())
+def test_best_split_equals_one_hot_reference(node):
+    X, codes, n_classes, idx, feats, min_leaf = node
+    totals = np.bincount(codes[idx], minlength=n_classes)
+    got = _best_split(X, idx, feats, codes[idx], totals, min_leaf)
+    want = best_split(X, idx, feats, codes, n_classes, min_leaf)
+    assert got == want  # exact: gini, feature and threshold
+
+
+def test_best_split_two_samples():
+    X = np.array([[0.0, 5.0], [1.0, 5.0]])
+    codes = np.array([1, 0])
+    totals = np.bincount(codes, minlength=3)
+    assert _best_split(X, np.arange(2), np.array([0, 1]), codes, totals, 1) == (0.0, 0, 0.5)
+    assert _best_split(X, np.arange(2), np.array([1]), codes, totals, 1) is None
+
+
+@pytest.mark.parametrize("params", [
+    ForestParams(n_trees=3, bootstrap=False, seed=4),
+    ForestParams(n_trees=3, max_depth=None, min_samples_leaf=3, seed=5),
+    ForestParams(n_trees=3, max_depth=4, features_per_split=50, seed=6),
+    ForestParams(n_trees=3, max_depth=None, min_samples_leaf=3, features_per_split=50,
+                 bootstrap=False, seed=7),
+])
+def test_train_grows_the_reference_trees(params):
+    data = _blobs(seed=2, sep=1.0)
+    want = tuple(grow_tree(data.X, data.y, len(data.class_names), params, _tree_rng(params.seed, i))
+                 for i in range(params.n_trees))
+    assert train(data, params).trees == want
 
 
 # --- training and prediction --------------------------------------------------
