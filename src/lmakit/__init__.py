@@ -4,7 +4,7 @@ attribution."""
 
 __version__ = "0.1.0"
 
-from .explain import brute_shap, permutation_importance, summary_rank, tree_shap
+from .explain import brute_shap, summary_rank, tree_shap
 from .features import (
     FEATURE_NAMES,
     FeatureTable,
@@ -14,7 +14,7 @@ from .features import (
     read_features_csv,
     write_features_csv,
 )
-from .floor import FloorPlane, body_height, fit_floor, flat_floor, height_above_floor
+from .floor import FloorPlane, fit_floor, flat_floor, height_above_floor
 from .forest import (
     Dataset,
     ForestModel,
@@ -29,13 +29,12 @@ from .forest import (
 )
 from .hull import convex_hull_facets, hull_volume
 from .kinematics import WindowConfig, derivative, windows
-from .sequence import JointSequence, load_sequence, resample, save_sequence, validate_and_repair
+from .sequence import JointSequence, load_sequence, save_sequence, validate_and_repair
 from .skeleton import SkeletonSpec, canonical_skeleton
 from .synth import Oscillator, StyleSpec, default_styles, generate, generate_corpus
 
 __all__ = [
     "brute_shap",
-    "permutation_importance",
     "summary_rank",
     "tree_shap",
     "FEATURE_NAMES",
@@ -46,7 +45,6 @@ __all__ = [
     "read_features_csv",
     "write_features_csv",
     "FloorPlane",
-    "body_height",
     "fit_floor",
     "flat_floor",
     "height_above_floor",
@@ -67,7 +65,6 @@ __all__ = [
     "windows",
     "JointSequence",
     "load_sequence",
-    "resample",
     "save_sequence",
     "validate_and_repair",
     "SkeletonSpec",

@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 internal error.
 import argparse
 import configparser
 import hashlib
+import os
 import sys
 import time
 from pathlib import Path
@@ -33,6 +34,7 @@ from .explain import (
 from .files import read_text, write_csv, write_json
 from .features import (
     FEATURE_NAMES,
+    SELECTED_JOINTS,
     FeatureTable,
     LmaConfig,
     assemble_features,
@@ -62,6 +64,17 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
+
+
+def _echo(text):
+    """Print a line to stdout.  A reader that closes the pipe early does not
+    fail the command: stdout then goes to the null device."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _sha256(path):
@@ -221,7 +234,7 @@ def cmd_extract(args, file_cfg, out):
         tables.append(assemble_features(seq, plane=plane, cfg=cfg, primitives=prim))
     table = FeatureTable.concat(tables)
     write_features_csv(table, out / "features.csv")
-    print(f"wrote {len(table)} feature rows to {out / 'features.csv'}")
+    _echo(f"wrote {len(table)} feature rows to {out / 'features.csv'}")
     return {
         "config": {
             "window": {"w": cfg.window.w, "stride": cfg.window.stride},
@@ -247,7 +260,7 @@ def cmd_floor(args, file_cfg, out):
         "pinball_loss": plane.pinball_loss,
     }
     write_json(out / "floor.json", payload)
-    print(f"floor: h = {plane.slope:.6g} * d + {plane.intercept:.6g} (loss {plane.pinball_loss:.6g})")
+    _echo(f"floor: h = {plane.slope:.6g} * d + {plane.intercept:.6g} (loss {plane.pinball_loss:.6g})")
     return {"config": {"tau": args.tau}, "inputs": [args.cloud]}
 
 
@@ -258,7 +271,7 @@ def cmd_synth(args, file_cfg, out):
     )
     for seq in seqs:
         save_sequence(seq, out / f"{seq.group_id}.jsonl")
-    print(f"wrote {len(seqs)} sequences to {out}")
+    _echo(f"wrote {len(seqs)} sequences to {out}")
     config = {"per_style": args.per_style, "duration": args.duration, "fps": args.fps,
               "noise": args.noise}
     return {"config": config, "inputs": []}
@@ -346,12 +359,12 @@ def cmd_train(args, file_cfg, out):
     else:
         yt, yp = data.y, y_pred
     rep = metrics(yt, yp, data.class_names)
-    print(_report_table(rep, data.class_names))
+    _echo(_report_table(rep, data.class_names))
     _write_metrics_csv(rep, data.class_names, out / "metrics.csv")
 
     final = train(data, best)
     final.save(out / "model.json")
-    print(f"best params: n_trees={best.n_trees} max_depth={best.max_depth} "
+    _echo(f"best params: n_trees={best.n_trees} max_depth={best.max_depth} "
           f"min_samples_leaf={best.min_samples_leaf}")
     config = {"grid": {k: [str(v) for v in vals] for k, vals in grid.items()},
               "best": {"n_trees": best.n_trees, "max_depth": best.max_depth,
@@ -374,7 +387,7 @@ def cmd_eval(args, file_cfg, out):
     if args.vote:
         y_true, y_pred = _vote_by_group(y_true.tolist(), y_pred.tolist(), t.groups)
     rep = metrics(y_true, y_pred, model.class_names)
-    print(_report_table(rep, model.class_names))
+    _echo(_report_table(rep, model.class_names))
     _write_metrics_csv(rep, model.class_names, out / "metrics.csv")
     return {"config": {"vote": bool(args.vote)}, "inputs": [args.model, args.features]}
 
@@ -410,7 +423,7 @@ def cmd_sweep(args, file_cfg, out):
         data = Dataset.from_labels(t.X, t.labels, t.groups, FEATURE_NAMES)
         accs = cross_val_accuracy(data, params, k=args.k, seed=args.seed)
         results.append((w, float(np.mean(accs)), float(np.std(accs))))
-        print(f"w={w}: accuracy {np.mean(accs):.4f} +/- {np.std(accs):.4f}")
+        _echo(f"w={w}: accuracy {np.mean(accs):.4f} +/- {np.std(accs):.4f}")
     write_csv(out / "sweep.csv", ["w", "mean_accuracy", "std_accuracy"],
               ([w, f"{m:.9g}", f"{s:.9g}"] for w, m, s in results))
     svg_line_chart(
@@ -440,20 +453,20 @@ def cmd_explain(args, file_cfg, out):
         per_class += [[cname, FEATURE_NAMES[f], f"{mean_abs[f]:.9g}", rank]
                       for rank, f in enumerate(order, start=1)]
     write_csv(out / "summary_per_class.csv", ["class", "feature", "mean_abs_phi", "rank"], per_class)
-    print(f"top {args.top_k} features:")
+    _echo(f"top {args.top_k} features:")
     for _, name, value in ranking[: args.top_k]:
-        print(f"  {name:28s} {value:.6g}")
+        _echo(f"  {name:28s} {value:.6g}")
     return {"config": {"top_k": args.top_k}, "inputs": [args.model, args.features]}
 
 
 def cmd_kinplot(args, file_cfg, out):
     seq = _load_sequences([args.sequence])[0]
-    w = _lma_config(args, file_cfg).window.w
+    w = WindowConfig(w=_resolved(args, file_cfg, "window.w", int, 55)).w
     if seq.n_frames < w:
         raise LmaError(f"sequence shorter than window ({seq.n_frames} < {w})")
     prim = features.SequencePrimitives(seq)
     skel = seq.skeleton
-    sel = [skel.index(r) for r in LmaConfig().selected_joints]
+    sel = [skel.index(r) for r in SELECTED_JOINTS]
     mean_speed = prim.speed[:, sel].mean(axis=1)
     kernel = np.ones(w) / w
     curve = np.convolve(mean_speed, kernel, mode="valid")
@@ -537,7 +550,6 @@ def _build_parser():
     p = sub.add_parser("kinplot", help="windowed mean-speed curve")
     p.add_argument("sequence")
     p.add_argument("--w", dest="w", type=int, default=None)
-    p.add_argument("--stride", type=int, default=None)
     p.set_defaults(func=cmd_kinplot)
 
     return parser

@@ -19,7 +19,6 @@ import numpy as np
 
 from .errors import LmaError
 from .files import open_output, write_csv
-from .forest import predict
 
 
 @dataclass(frozen=True)
@@ -176,31 +175,6 @@ def brute_shap(model, x, max_features=12):
                 for S in combinations(rest, size):
                     phi[i] += wgt * (v(set(S) | {i}) - v(set(S)))
     return (phi / len(model.trees)).T
-
-
-def permutation_importance(model, data, n_repeats=5, seed=0):
-    """Accuracy drop when one feature column is shuffled; seeded, repeated.
-
-    Returns (mean_importance, std_importance), each length n_features.
-    """
-    if data.X.shape[0] == 0:
-        raise LmaError("empty dataset")
-    rng = np.random.default_rng(np.random.SeedSequence([seed]))
-    baseline = float(np.mean(predict(model, data.X) == data.y))
-    n = data.X.shape[0]
-    means = np.zeros(model.n_features)
-    stds = np.zeros(model.n_features)
-    for f in range(model.n_features):
-        drops = []
-        for _ in range(n_repeats):
-            perm = rng.permutation(n)
-            Xp = data.X.copy()
-            Xp[:, f] = Xp[perm, f]
-            acc = float(np.mean(predict(model, Xp) == data.y))
-            drops.append(baseline - acc)
-        means[f] = float(np.mean(drops))
-        stds[f] = float(np.std(drops))
-    return means, stds
 
 
 def _stacked(explanation):

@@ -27,7 +27,9 @@ from .hull import hull_volume
 from .kinematics import WindowConfig, derivative, windows
 
 EFFORT_ROLES = ("head", "left_hand", "right_hand", "left_foot", "right_foot")
-DEFAULT_SELECTED = EFFORT_ROLES + ("pelvis",)
+# the joints of the weighted Effort aggregates; a superset of EFFORT_ROLES,
+# whose own slots read the same per-joint ratios and jerks
+SELECTED_JOINTS = EFFORT_ROLES + ("pelvis",)
 
 FEATURE_NAMES = (
     # Body: distances (m)
@@ -112,15 +114,12 @@ class LmaConfig:
     window: WindowConfig = field(default_factory=WindowConfig)
     initiation_scale: float = 1.0
     epsilon_net: float = 1e-3
-    selected_joints: tuple = DEFAULT_SELECTED
 
     def __post_init__(self):
         if self.initiation_scale <= 0:
             raise LmaError("initiation_scale must be > 0")
         if self.epsilon_net <= 0:
             raise LmaError("epsilon_net must be > 0")
-        if not self.selected_joints:
-            raise LmaError("selected_joints must be non-empty")
 
 
 @dataclass(frozen=True)
@@ -311,10 +310,9 @@ def assemble_features(seq, plane=None, cfg=None, primitives=None):
         """Every window of `length` frames over x's first axis, frames last."""
         return sliding_window_view(x, length, axis=0)[::stride]
 
-    alphas = {r: skel.weight(r) for r in cfg.selected_joints}
-    sel_idx = [skel.index(r) for r in cfg.selected_joints]
-    sel_alpha = np.array([alphas[r] for r in cfg.selected_joints])
-    effort_roles = set(cfg.selected_joints) | set(EFFORT_ROLES)
+    alphas = {r: skel.weight(r) for r in SELECTED_JOINTS}
+    sel_idx = [skel.index(r) for r in SELECTED_JOINTS]
+    sel_alpha = np.array([alphas[r] for r in SELECTED_JOINTS])
     pelvis_idx = skel.index("pelvis")
 
     cols = [win(prim.distances).mean(axis=-1), win(prim.angles).mean(axis=-1)]
@@ -328,10 +326,10 @@ def assemble_features(seq, plane=None, cfg=None, primitives=None):
     w_inner = max(2, w // 5)
     ratios = {
         r: _effort_space_ratios(seq.joint(r), starts, w, w_inner, cfg.epsilon_net)
-        for r in effort_roles
+        for r in SELECTED_JOINTS
     }
     cols += [ratios[r] for r in EFFORT_ROLES]
-    cols.append(sum(alphas[r] * ratios[r] for r in cfg.selected_joints))
+    cols.append(sum(alphas[r] * ratios[r] for r in SELECTED_JOINTS))
 
     # per-frame weighted aggregates over the selected joints
     energy = 0.5 * (sel_alpha[None, :] * prim.speed[:, sel_idx] ** 2).sum(axis=1)
@@ -339,9 +337,9 @@ def assemble_features(seq, plane=None, cfg=None, primitives=None):
     for x in (energy, accel_sum):
         cols += [win(x).mean(axis=-1), win(x).max(axis=-1)]
 
-    jerk = {r: win(prim.jerk_mag[:, skel.index(r)]).mean(axis=-1) for r in effort_roles}
+    jerk = {r: win(prim.jerk_mag[:, skel.index(r)]).mean(axis=-1) for r in SELECTED_JOINTS}
     cols += [jerk[r] for r in EFFORT_ROLES]
-    cols.append(sum(alphas[r] * jerk[r] for r in cfg.selected_joints))
+    cols.append(sum(alphas[r] * jerk[r] for r in SELECTED_JOINTS))
 
     vol = win(prim.volume)
     cols += [vol.mean(axis=-1), vol.std(axis=-1), vol.min(axis=-1), vol.max(axis=-1)]

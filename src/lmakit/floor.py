@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateFitError, LmaError, SkeletonError
+from .errors import DegenerateFitError, LmaError
 
 MIN_CLOUD_POINTS = 10
 
@@ -118,9 +118,9 @@ def fit_floor(points, tau=0.05, up_axis=1, depth_axis=2):
     )
 
 
-def flat_floor(up_axis=1, depth_axis=2):
+def flat_floor():
     """Zero-height horizontal floor, used when no point cloud is available."""
-    return FloorPlane(0.0, 0.0, up_axis=up_axis, depth_axis=depth_axis)
+    return FloorPlane(0.0, 0.0)
 
 
 def height_above_floor(p, plane):
@@ -132,15 +132,3 @@ def height_above_floor(p, plane):
     h = p[..., plane.up_axis] - (plane.slope * p[..., plane.depth_axis] + plane.intercept)
     return float(h) if h.ndim == 0 else h
 
-
-def body_height(seq, plane):
-    """Dancer height: 95th percentile of the head's height above the floor.
-
-    The percentile is robust to crouches and jumps in standing-dancer
-    sequences.
-    """
-    if not seq.skeleton.has_role("head"):
-        raise SkeletonError("sequence skeleton lacks a head role")
-    seq.require_finite()
-    heights = height_above_floor(seq.joint("head"), plane)
-    return float(np.percentile(heights, 95))

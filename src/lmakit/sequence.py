@@ -117,7 +117,12 @@ def _parse_header(obj, path):
         skel = SkeletonSpec(tuple(joints), role_map, weights)
     except SkeletonError as e:
         raise SequenceFormatError(str(e), path, 1) from e
-    return fps, skel, obj.get("label"), obj.get("group_id", "")
+    label, group_id = obj.get("label"), obj.get("group_id", "")
+    if not (label is None or isinstance(label, str)):
+        raise SequenceFormatError(f"label must be a string or null, got {label!r}", path, 1)
+    if not isinstance(group_id, str):
+        raise SequenceFormatError(f"group_id must be a string, got {group_id!r}", path, 1)
+    return fps, skel, label, group_id
 
 
 def load_sequence(path):
@@ -239,28 +244,3 @@ def validate_and_repair(seq, max_gap=6):
     repaired[k, j] = (1 - frac) * pos[lo, j] + frac * pos[hi, j]
     return replace(seq, positions=repaired)
 
-
-def resample(seq, target_fps):
-    """Linearly resample onto a uniform grid spanning the same duration.
-
-    The new grid keeps the first and last frames; the sample count follows the
-    fps ratio, so the declared fps is exact only when the duration divides
-    evenly (identity resampling is always exact).
-    """
-    if target_fps <= 0:
-        raise SequenceFormatError(f"target_fps must be > 0, got {target_fps}")
-    seq.require_finite()
-    T = seq.n_frames
-    duration = (T - 1) / seq.fps
-    new_T = max(2, int(round(T * target_fps / seq.fps)))
-    old_t = np.arange(T) / seq.fps
-    new_t = np.linspace(0.0, duration, new_T)
-    flat = seq.positions.reshape(T, -1)
-    out = np.empty((new_T, flat.shape[1]))
-    for c in range(flat.shape[1]):
-        out[:, c] = np.interp(new_t, old_t, flat[:, c])
-    return replace(
-        seq,
-        fps=float(target_fps),
-        positions=out.reshape(new_T, seq.n_joints, 3),
-    )

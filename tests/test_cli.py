@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -401,6 +404,10 @@ HOSTILE_HEADERS = {
     "fps_true": lambda h: h.update(fps=True),
     "fps_nan": lambda h: h.update(fps=float("nan")),
     "fps_infinity": lambda h: h.update(fps=float("inf")),
+    "label_list": lambda h: h.update(label=["x"]),
+    "label_number": lambda h: h.update(label=5),
+    "group_id_number": lambda h: h.update(group_id=5),
+    "group_id_null": lambda h: h.update(group_id=None),
 }
 
 
@@ -630,3 +637,21 @@ def test_gap_error_names_the_file_once(tmp_path, capsys):
     assert err.startswith(f"error: {path}: joint ") and "frames 5..14" in err
     assert err.count("gappy.jsonl") == 1
 
+
+@pytest.mark.parametrize("unbuffered", [True, False])
+def test_closed_stdout_still_writes_outputs(ws, tmp_path, unbuffered):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "lmakit.cli", "--out", "m", "train", str(ws / "feats" / "features.csv"),
+         "--n-trees", "5", "--max-depth", "4", "--min-samples-leaf", "1"],
+        cwd=tmp_path, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()  # the reader goes away before the report table is printed
+    err = proc.stderr.read().decode()
+    assert proc.wait() == 0, err
+    assert "internal error" not in err
+    assert (tmp_path / "m" / "model.json").is_file()
+    assert (tmp_path / "m" / "manifest.json").is_file()

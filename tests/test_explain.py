@@ -13,7 +13,6 @@ from lmakit.errors import LmaError
 from lmakit.explain import (
     ShapExplanation,
     brute_shap,
-    permutation_importance,
     summary_rank,
     tree_shap,
     write_explanations_csv,
@@ -177,26 +176,6 @@ def test_missing_covers_rejected():
     model = _hand_model([bad])
     with pytest.raises(LmaError):
         tree_shap(model, np.zeros(2))
-
-
-# --- permutation importance -----------------------------------------------------
-
-
-def test_permutation_importance_finds_informative_feature():
-    model, data = _small_forest(seed=1, n_trees=15, max_depth=6, n_features=4)
-    means, stds = permutation_importance(model, data, n_repeats=5, seed=0)
-    assert means.shape == stds.shape == (4,)
-    # features 0..2 carry the class centers; feature 3 is pure noise
-    assert means[3] <= min(means[0], means[1], means[2])
-    assert means[:3].max() > 0.05
-
-
-def test_permutation_importance_deterministic():
-    model, data = _small_forest(seed=2, n_trees=5, n_features=4)
-    a = permutation_importance(model, data, n_repeats=3, seed=9)
-    b = permutation_importance(model, data, n_repeats=3, seed=9)
-    np.testing.assert_array_equal(a[0], b[0])
-    np.testing.assert_array_equal(a[1], b[1])
 
 
 # --- summaries and CSV ------------------------------------------------------------

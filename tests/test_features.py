@@ -148,12 +148,11 @@ def test_effort_weight_stationary_zero():
 
 
 def test_effort_weight_single_joint_constant_speed():
-    # one selected joint, alpha = 1, speed 2 m/s -> 0.5 * 1 * 4 = 2
+    # only the left hand moves: alpha = 1, speed 2 m/s -> 0.5 * 1 * 4 = 2
     T = 100
     track = np.column_stack([2.0 * np.arange(T) * DT, np.full(T, 0.9), np.zeros(T)])
     seq = make_sequence(static_pose_positions(T, "left_hand", track))
-    cfg = _cfg(selected_joints=("left_hand",))
-    rows = assemble_features(seq, cfg=cfg)
+    rows = assemble_features(seq, cfg=_cfg())
     np.testing.assert_allclose(_get(rows, "effort_weight_mean"), 2.0, atol=1e-9)
     np.testing.assert_allclose(_get(rows, "effort_weight_max"), 2.0, atol=1e-9)
 
@@ -164,7 +163,7 @@ def test_effort_time_constant_acceleration():
     t = np.arange(T) * DT
     track = np.column_stack([t**2, np.full(T, 0.9), np.zeros(T)])
     seq = make_sequence(static_pose_positions(T, "left_hand", track))
-    cfg = LmaConfig(window=WindowConfig(w=50, stride=50), selected_joints=("left_hand",))
+    cfg = LmaConfig(window=WindowConfig(w=50, stride=50))
     rows = assemble_features(seq, cfg=cfg)
     # second window [50, 100) is fully interior
     assert _get(rows, "effort_time_mean")[1] == pytest.approx(2.0, abs=1e-6)
@@ -202,7 +201,7 @@ def test_effort_flow_constant_acceleration_zero():
     t = np.arange(T) * DT
     track = np.column_stack([t**2, np.full(T, 0.9), np.zeros(T)])
     seq = make_sequence(static_pose_positions(T, "left_hand", track))
-    cfg = LmaConfig(window=WindowConfig(w=40, stride=40), selected_joints=("left_hand",))
+    cfg = LmaConfig(window=WindowConfig(w=40, stride=40))
     rows = assemble_features(seq, cfg=cfg)
     assert _get(rows, "effort_flow_left_hand")[1] == pytest.approx(0.0, abs=1e-6)
 
@@ -216,7 +215,7 @@ def test_effort_flow_sinusoid_matches_analytic():
     t = np.arange(T) * DT
     track = np.column_stack([A * np.sin(omega * t), np.full(T, 0.9), np.zeros(T)])
     seq = make_sequence(static_pose_positions(T, "left_hand", track))
-    cfg = LmaConfig(window=WindowConfig(w=60, stride=60), selected_joints=("left_hand",))
+    cfg = LmaConfig(window=WindowConfig(w=60, stride=60))
     rows = assemble_features(seq, cfg=cfg)
     s, e = 60, 120  # interior window
     analytic = np.abs(A * omega**3 * np.cos(omega * t[s:e])).mean()
@@ -591,15 +590,15 @@ def test_csv_schema_mismatch_rejected(tmp_path):
 def _reference_rows(seq, prim, plane, cfg):
     """The 55 slots window by window with plain slicing: the per-window loop
     that the whole-array assembly replaces, kept as its reference."""
-    from lmakit.features import EFFORT_ROLES
+    from lmakit.features import EFFORT_ROLES, SELECTED_JOINTS
     from lmakit.floor import height_above_floor
 
     skel, pos, T = seq.skeleton, seq.positions, seq.n_frames
     w = cfg.window.w
     w_inner = max(2, w // 5)
-    alpha = {r: skel.weight(r) for r in cfg.selected_joints}
-    sel = [skel.index(r) for r in cfg.selected_joints]
-    sel_alpha = np.array([alpha[r] for r in cfg.selected_joints])
+    alpha = {r: skel.weight(r) for r in SELECTED_JOINTS}
+    sel = [skel.index(r) for r in SELECTED_JOINTS]
+    sel_alpha = np.array([alpha[r] for r in SELECTED_JOINTS])
     energy = 0.5 * (sel_alpha[None, :] * prim.speed[:, sel] ** 2).sum(axis=1)
     accel = (sel_alpha[None, :] * prim.accel_mag[:, sel]).sum(axis=1)
     p = skel.index("pelvis")
@@ -618,9 +617,9 @@ def _reference_rows(seq, prim, plane, cfg):
     for s in range(0, T - w + 1, cfg.window.stride):
         e = s + w
         ratios = {r: ratio(pos[:, skel.index(r)], s, e)
-                  for r in set(cfg.selected_joints) | set(EFFORT_ROLES)}
+                  for r in SELECTED_JOINTS}
         jerk = {r: prim.jerk_mag[s:e, skel.index(r)].mean()
-                for r in set(cfg.selected_joints) | set(EFFORT_ROLES)}
+                for r in SELECTED_JOINTS}
         vol, du, dl = prim.volume[s:e], prim.dispersion_upper[s:e], prim.dispersion_lower[s:e]
         path = float(prim.step_len[s : e - 1, p].sum())
         net = float(np.linalg.norm(pos[e - 1, p] - pos[s, p]))
@@ -630,10 +629,10 @@ def _reference_rows(seq, prim, plane, cfg):
             prim.angles[s:e].mean(axis=0),
             [float(v[s : min(e, T - 1)].mean()) for v in pred.values()],
             [ratios[r] for r in EFFORT_ROLES],
-            [sum(alpha[r] * ratios[r] for r in cfg.selected_joints)],
+            [sum(alpha[r] * ratios[r] for r in SELECTED_JOINTS)],
             [energy[s:e].mean(), energy[s:e].max(), accel[s:e].mean(), accel[s:e].max()],
             [jerk[r] for r in EFFORT_ROLES],
-            [sum(alpha[r] * jerk[r] for r in cfg.selected_joints)],
+            [sum(alpha[r] * jerk[r] for r in SELECTED_JOINTS)],
             [vol.mean(), vol.std(), vol.min(), vol.max()],
             [du.mean(), du.std(), dl.mean(), dl.std()],
             [path, net, 0.0 if path < 1e-12 else path / max(net, cfg.epsilon_net)],

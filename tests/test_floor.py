@@ -5,7 +5,6 @@ from conftest import make_sequence, pair_enumeration_pinball_oracle, static_pose
 from lmakit.errors import DegenerateFitError, LmaError
 from lmakit.floor import (
     FloorPlane,
-    body_height,
     fit_floor,
     flat_floor,
     height_above_floor,
@@ -110,34 +109,6 @@ def test_tilted_plane_height_arithmetic():
 def test_pinball_loss_nonnegative_and_zero_on_fit():
     assert pinball_loss(np.zeros(5), 0.3) == 0.0
     assert pinball_loss([1.0, -1.0], 0.3) == pytest.approx(0.3 + 0.7)
-
-
-def test_body_height_constant_head():
-    pos = static_pose_positions(100)
-    pos[:, 0, :] = [0.0, 1.7, 0.0]  # head fixed at 1.7
-    seq = make_sequence(pos)
-    assert body_height(seq, flat_floor()) == pytest.approx(1.7)
-
-
-def test_body_height_ignores_brief_crouch():
-    # oracle: 95th percentile of a track that is 1.7 for 96% of frames
-    pos = static_pose_positions(100)
-    pos[:, 0, :] = [0.0, 1.7, 0.0]
-    pos[10:14, 0, 1] = 1.2
-    seq = make_sequence(pos)
-    assert body_height(seq, flat_floor()) == pytest.approx(1.7, abs=1e-9)
-
-
-def test_body_height_on_tilted_floor_tracks_depth():
-    plane = FloorPlane(slope=0.1, intercept=0.0, tau=0.05)
-    pos = static_pose_positions(50)
-    depth = np.linspace(0, 2, 50)
-    pos[:, 0, 0] = 0.0
-    pos[:, 0, 1] = 1.7
-    pos[:, 0, 2] = depth
-    seq = make_sequence(pos)
-    expected = np.percentile(1.7 - 0.1 * depth, 95)
-    assert body_height(seq, plane) == pytest.approx(expected, abs=1e-9)
 
 
 def test_plane_invariants():

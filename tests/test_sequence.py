@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import make_sequence, static_pose_positions
 from lmakit.errors import GapError, SequenceFormatError
-from lmakit.sequence import load_sequence, resample, save_sequence, validate_and_repair
+from lmakit.sequence import load_sequence, save_sequence, validate_and_repair
 from lmakit.skeleton import REQUIRED_ROLES
 
 
@@ -253,51 +253,6 @@ def test_repair_reports_the_first_joint_and_its_boundary_first():
     with pytest.raises(GapError, match="boundary") as e:
         validate_and_repair(make_sequence(pos), max_gap=6)
     assert e.value.joint == seq.skeleton.joint_names[5]
-
-
-def test_resample_decimation_count():
-    pos = static_pose_positions(60)
-    seq = make_sequence(pos, fps=60)
-    out = resample(seq, 30)
-    assert out.n_frames == 30
-    assert out.fps == 30
-
-
-def test_resample_identity():
-    rng = np.random.default_rng(3)
-    pos = static_pose_positions(40) + rng.normal(0, 0.01, (40, 13, 3))
-    seq = make_sequence(pos)
-    out = resample(seq, 60)
-    np.testing.assert_allclose(out.positions, seq.positions, atol=1e-12)
-
-
-def test_resample_linear_trajectory_stays_on_line():
-    # oracle: closed-form evaluation of P(t) = v * t
-    v = np.array([0.3, -0.1, 0.2])
-    T = 50
-    pos = static_pose_positions(T)
-    t = np.arange(T) / 60.0
-    pos[:, 0, :] = v[None, :] * t[:, None]
-    seq = make_sequence(pos)
-    out = resample(seq, 47.0)
-    new_t = np.linspace(0, (T - 1) / 60.0, out.n_frames)
-    expected = v[None, :] * new_t[:, None]
-    np.testing.assert_allclose(out.positions[:, 0, :], expected, atol=1e-9)
-
-
-def test_resample_preserves_endpoints():
-    rng = np.random.default_rng(5)
-    pos = static_pose_positions(33) + rng.normal(0, 0.02, (33, 13, 3))
-    seq = make_sequence(pos)
-    out = resample(seq, 24.0)
-    np.testing.assert_allclose(out.positions[0], seq.positions[0], atol=1e-9)
-    np.testing.assert_allclose(out.positions[-1], seq.positions[-1], atol=1e-9)
-
-
-def test_resample_rejects_bad_fps():
-    seq = make_sequence(static_pose_positions(10))
-    with pytest.raises(SequenceFormatError):
-        resample(seq, 0.0)
 
 
 @pytest.mark.parametrize("bad", [True, False, "1.0", "abc", [1.0], {"x": 1}])
