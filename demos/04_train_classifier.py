@@ -37,8 +37,7 @@ def main():
     folds = stratified_group_kfold(data.y, data.groups, k=3, seed=42)
     y_true, y_pred = [], []
     for tr, te in folds:
-        sub = Dataset(data.X[tr], data.y[tr], tuple(data.groups[i] for i in tr),
-                      data.feature_names, data.class_names)
+        sub = Dataset(data.X[tr], data.y[tr], data.groups[tr], data.feature_names, data.class_names)
         model = train(sub, params)
         y_true.extend(data.y[te].tolist())
         y_pred.extend(predict(model, data.X[te]).tolist())

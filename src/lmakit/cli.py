@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 internal error.
 import argparse
 import configparser
 import hashlib
+import math
 import os
 import sys
 import time
@@ -46,8 +47,10 @@ from .forest import (
     Dataset,
     ForestModel,
     ForestParams,
+    class_counts_by_group,
     cross_val_accuracy,
     grid_search,
+    integer_codes,
     metrics,
     predict,
     train,
@@ -174,23 +177,38 @@ def _forest_settings(args, file_cfg):
     }
 
 
-def _at_least(lo):
-    """argparse type: an integer >= lo."""
+def _number(cast, lo, strict=False):
+    """argparse type: a finite `cast` value >= lo, or > lo if `strict`."""
 
-    def integer(text):
-        if int(text) < lo:
-            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {text}")
-        return int(text)
+    def number(text):
+        try:
+            value = cast(text)
+        except ValueError:
+            value = math.nan  # fails every comparison
+        if not (value > lo if strict else value >= lo) or value == math.inf:
+            raise argparse.ArgumentTypeError(
+                f"expected a finite {cast.__name__} {'>' if strict else '>='} {lo}, got {text!r}")
+        return value
 
-    return integer
+    return number
 
 
-def _int_or_none(v):
-    return None if str(v).lower() == "none" else int(v)
+def _depth(text):
+    """argparse type: a tree depth >= 1, or `none` for no limit."""
+    return None if text.lower() == "none" else _number(int, 1)(text)
+
+
+def _list_of(item):
+    """argparse type: a non-empty comma-separated list of `item` values."""
+
+    def items(text):
+        return [item(tok) for tok in text.split(",")]
+
+    return items
 
 
 def _int_list(v):
-    return [_int_or_none(tok) for tok in str(v).split(",") if tok != ""]
+    return [None if tok.lower() == "none" else int(tok) for tok in v.split(",") if tok != ""]
 
 
 def _load_sequences(paths, max_gap=6):
@@ -289,13 +307,10 @@ def _read_rows(path, labelled):
 
 
 def _forest_grid(args, file_cfg):
-    trees = args.n_trees if args.n_trees else [50, 100, 200]
-    depths = args.max_depth if args.max_depth else [8, 12, None]
-    leaves = args.min_samples_leaf if args.min_samples_leaf else [1, 5]
     return {
-        "n_trees": trees,
-        "max_depth": depths,
-        "min_samples_leaf": leaves,
+        "n_trees": args.n_trees,
+        "max_depth": args.max_depth,
+        "min_samples_leaf": args.min_samples_leaf,
         **{key: [v] for key, v in _forest_settings(args, file_cfg).items()},
         "seed": [args.seed],
     }
@@ -328,14 +343,9 @@ def _write_metrics_csv(rep, class_names, path):
 
 
 def _vote_by_group(y_true, y_pred, groups):
-    """Majority vote per group; returns group-level truth/prediction arrays."""
-    uniq = sorted(set(groups))
-    gt, gp = [], []
-    for g in uniq:
-        idx = [i for i, gg in enumerate(groups) if gg == g]
-        gt.append(int(np.bincount([y_true[i] for i in idx]).argmax()))
-        gp.append(int(np.bincount([y_pred[i] for i in idx]).argmax()))
-    return np.array(gt), np.array(gp)
+    """Majority vote per group, groups in sorted order, ties to the lowest
+    class; returns group-level truth/prediction arrays."""
+    return tuple(class_counts_by_group(y, groups)[0].argmax(axis=1) for y in (y_true, y_pred))
 
 
 def cmd_train(args, file_cfg, out):
@@ -355,7 +365,7 @@ def cmd_train(args, file_cfg, out):
     # the best point's pooled out-of-fold predictions give the per-class report
     y_pred = next(r["predictions"] for r in report if r["params"] is best)
     if args.vote:
-        yt, yp = _vote_by_group(data.y.tolist(), y_pred.tolist(), data.groups)
+        yt, yp = _vote_by_group(data.y, y_pred, data.groups)
     else:
         yt, yp = data.y, y_pred
     rep = metrics(yt, yp, data.class_names)
@@ -373,19 +383,25 @@ def cmd_train(args, file_cfg, out):
     return {"config": config, "inputs": [args.features]}
 
 
+def _load_model(path):
+    """The model at `path`, refused unless its features are the canonical layout."""
+    model = ForestModel.load(path)
+    if model.feature_names != FEATURE_NAMES:
+        raise LmaError(f"{path}: model feature schema does not match the canonical layout")
+    return model
+
+
 def cmd_eval(args, file_cfg, out):
-    model = ForestModel.load(args.model)
-    if tuple(model.feature_names) != FEATURE_NAMES:
-        raise LmaError("model feature schema does not match the canonical layout")
+    model = _load_model(args.model)
     t = _read_rows(args.features, labelled=True)
-    code = {c: i for i, c in enumerate(model.class_names)}
-    unknown = sorted({l for l in t.labels if l not in code})
+    labels, codes = integer_codes(t.labels)
+    unknown = [l for l in labels if l not in model.class_names]
     if unknown:
-        raise LmaError(f"labels not in model classes: {unknown}")
-    y_true = np.array([code[l] for l in t.labels])
+        raise LmaError(f"{args.features}: labels not in the model's classes: {unknown}")
+    y_true = np.array([model.class_names.index(l) for l in labels])[codes]
     y_pred = predict(model, t.X)
     if args.vote:
-        y_true, y_pred = _vote_by_group(y_true.tolist(), y_pred.tolist(), t.groups)
+        y_true, y_pred = _vote_by_group(y_true, y_pred, t.groups)
     rep = metrics(y_true, y_pred, model.class_names)
     _echo(_report_table(rep, model.class_names))
     _write_metrics_csv(rep, model.class_names, out / "metrics.csv")
@@ -405,13 +421,8 @@ def cmd_sweep(args, file_cfg, out):
             raise LmaError(f"window {w} exceeds shortest sequence ({min_T} frames)")
     cfgs = [_lma_config(args, file_cfg, WindowConfig(w=w, stride=args.stride)) for w in sizes]
     forest = _forest_settings(args, file_cfg)
-    params = ForestParams(
-        n_trees=args.n_trees[0] if args.n_trees else 30,
-        max_depth=args.max_depth[0] if args.max_depth else 12,
-        min_samples_leaf=args.min_samples_leaf[0] if args.min_samples_leaf else 1,
-        seed=args.seed,
-        **forest,
-    )
+    params = ForestParams(n_trees=args.n_trees, max_depth=args.max_depth,
+                          min_samples_leaf=args.min_samples_leaf, seed=args.seed, **forest)
     prims = [features.SequencePrimitives(s) for s in seqs]
     results = []
     for cfg in cfgs:
@@ -439,10 +450,8 @@ def cmd_sweep(args, file_cfg, out):
 
 
 def cmd_explain(args, file_cfg, out):
-    model = ForestModel.load(args.model)
+    model = _load_model(args.model)
     X = _read_rows(args.features, labelled=False).X
-    if tuple(model.feature_names) != FEATURE_NAMES:
-        raise LmaError("model feature schema does not match the canonical layout")
     explanation = tree_shap(model, X)
     write_explanations_csv(explanation, out / "explanations.csv")
     ranking = summary_rank(explanation)
@@ -486,7 +495,7 @@ def cmd_kinplot(args, file_cfg, out):
 def _build_parser():
     parser = _Parser(prog="lmakit", description=__doc__)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--threads", type=_at_least(1), default=1, help="no effect: training is serial")
+    parser.add_argument("--threads", type=_number(int, 1), default=1, help="no effect: training is serial")
     parser.add_argument("--config", default=None)
     parser.add_argument("--out", default="out")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -508,19 +517,19 @@ def _build_parser():
 
     p = sub.add_parser("synth", help="generate the synthetic 10-style corpus")
     p.add_argument("--per-style", type=int, default=6)
-    p.add_argument("--duration", type=float, default=20.0)
-    p.add_argument("--fps", type=float, default=60.0)
-    p.add_argument("--noise", type=float, default=0.005)
+    p.add_argument("--duration", type=_number(float, 0, strict=True), default=20.0)
+    p.add_argument("--fps", type=_number(float, 0, strict=True), default=60.0)
+    p.add_argument("--noise", type=_number(float, 0), default=0.005)
     p.set_defaults(func=cmd_synth)
 
     for name in ("train", "eval"):
         p = sub.add_parser(name, help=f"{name} a forest on a feature CSV")
         if name == "train":
             p.add_argument("features")
-            p.add_argument("--n-trees", type=_int_list, default=None)
-            p.add_argument("--max-depth", type=_int_list, default=None)
-            p.add_argument("--min-samples-leaf", type=_int_list, default=None)
-            p.add_argument("--k", type=_at_least(2), default=3)
+            p.add_argument("--n-trees", type=_list_of(_number(int, 1)), default=[50, 100, 200])
+            p.add_argument("--max-depth", type=_list_of(_depth), default=[8, 12, None])
+            p.add_argument("--min-samples-leaf", type=_list_of(_number(int, 1)), default=[1, 5])
+            p.add_argument("--k", type=_number(int, 2), default=3)
             p.add_argument("--vote", action="store_true", help="per-video majority vote")
             p.set_defaults(func=cmd_train)
         else:
@@ -533,18 +542,18 @@ def _build_parser():
     p.add_argument("sequences", nargs="+")
     p.add_argument("--sizes", type=_int_list, default=[5, 15, 30, 55])
     p.add_argument("--stride", type=int, default=5)
-    p.add_argument("--k", type=_at_least(2), default=3)
+    p.add_argument("--k", type=_number(int, 2), default=3)
     p.add_argument("--cloud", default=None)
     p.add_argument("--tau", type=float, default=0.05)
-    p.add_argument("--n-trees", type=_int_list, default=None)
-    p.add_argument("--max-depth", type=_int_list, default=None)
-    p.add_argument("--min-samples-leaf", type=_int_list, default=None)
+    p.add_argument("--n-trees", type=_number(int, 1), default=30)
+    p.add_argument("--max-depth", type=_depth, default=12)
+    p.add_argument("--min-samples-leaf", type=_number(int, 1), default=1)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("explain", help="Shapley attributions for a feature CSV")
     p.add_argument("model")
     p.add_argument("features")
-    p.add_argument("--top-k", type=_at_least(1), default=10)
+    p.add_argument("--top-k", type=_number(int, 1), default=10)
     p.set_defaults(func=cmd_explain)
 
     p = sub.add_parser("kinplot", help="windowed mean-speed curve")

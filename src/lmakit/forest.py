@@ -22,11 +22,28 @@ from .files import open_output, read_text
 MODEL_FORMAT_VERSION = 1
 
 
+def integer_codes(values):
+    """(sorted distinct values, each value's index among them).  The values
+    sort as Python objects, so mixed types such as str and None raise TypeError."""
+    uniq, codes = np.unique(np.asarray(values, dtype=object), return_inverse=True)
+    return tuple(uniq.tolist()), codes
+
+
+def class_counts_by_group(y, groups):
+    """Rows of each class code in each group, a (groups, classes) array with
+    the groups in sorted order, and each row's group code."""
+    y = np.asarray(y, dtype=int)
+    uniq, g = integer_codes(groups)
+    n_classes = int(y.max(initial=0)) + 1
+    counts = np.bincount(g * n_classes + y, minlength=len(uniq) * n_classes)
+    return counts.reshape(len(uniq), n_classes), g
+
+
 @dataclass(frozen=True)
 class Dataset:
     X: np.ndarray
     y: np.ndarray  # integer class codes into class_names
-    groups: tuple
+    groups: np.ndarray  # one group id per row, an object array
     feature_names: tuple
     class_names: tuple
 
@@ -35,11 +52,11 @@ class Dataset:
         y = np.asarray(self.y, dtype=int)
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "y", y)
-        object.__setattr__(self, "groups", tuple(self.groups))
+        object.__setattr__(self, "groups", np.asarray(self.groups, dtype=object))
         object.__setattr__(self, "feature_names", tuple(self.feature_names))
         object.__setattr__(self, "class_names", tuple(self.class_names))
         n = X.shape[0]
-        if y.shape != (n,) or len(self.groups) != n:
+        if y.shape != (n,) or self.groups.shape != (n,):
             raise LmaError("X, y and groups must agree on N")
         if X.shape[1] != len(self.feature_names):
             raise LmaError("feature_names length must match X columns")
@@ -50,10 +67,8 @@ class Dataset:
 
     @staticmethod
     def from_labels(X, labels, groups, feature_names):
-        class_names = tuple(sorted(set(labels)))
-        code = {c: i for i, c in enumerate(class_names)}
-        y = np.array([code[l] for l in labels], dtype=int)
-        return Dataset(X, y, tuple(groups), tuple(feature_names), class_names)
+        class_names, y = integer_codes(labels)
+        return Dataset(X, y, groups, feature_names, class_names)
 
 
 @dataclass(frozen=True)
@@ -500,47 +515,29 @@ def stratified_group_kfold(y, groups, k=3, seed=0):
     """Partition groups into k folds balancing class proportions.
 
     No group straddles folds.  Each group is characterised by its majority
-    class; greedy assignment fills the fold currently poorest in that class.
+    class; greedy assignment, largest groups first, puts each in the fold
+    holding the fewest rows of that class, then the fewest rows.
     """
     y = np.asarray(y, dtype=int)
-    groups = np.asarray(groups, dtype=object)
-    uniq = sorted(set(groups.tolist()))
-    n_classes = int(y.max()) + 1 if len(y) else 0
-    group_class = {}
-    group_size = {}
-    for g in uniq:
-        mask = groups == g
-        counts = np.bincount(y[mask], minlength=n_classes)
-        group_class[g] = int(np.argmax(counts))
-        group_size[g] = int(mask.sum())
-    per_class_groups = np.bincount([group_class[g] for g in uniq], minlength=n_classes)
-    for c, cnt in enumerate(per_class_groups):
-        if 0 < np.sum(y == c) and cnt < k:
-            raise LmaError(f"class {c} present in only {cnt} groups, need >= {k}")
+    counts, g = class_counts_by_group(y, groups)
+    n_groups, n_classes = counts.shape
+    group_class, group_size = counts.argmax(axis=1), counts.sum(axis=1)
+    per_class_groups = np.bincount(group_class, minlength=n_classes)
+    short = (np.bincount(y, minlength=n_classes) > 0) & (per_class_groups < k)
+    for c in np.flatnonzero(short)[:1]:
+        raise LmaError(f"class {c} present in only {per_class_groups[c]} groups, need >= {k}")
 
-    rng = np.random.default_rng(seed)
-    shuffled_pos = {uniq[i]: p for p, i in enumerate(rng.permutation(len(uniq)))}
-    ordered = sorted(uniq, key=lambda g: (-group_size[g], shuffled_pos[g]))
-    fold_class_counts = np.zeros((k, n_classes))
-    fold_sizes = np.zeros(k)
-    fold_of_group = {}
-    for g in ordered:
-        c = group_class[g]
-        best = min(
-            range(k),
-            key=lambda f: (fold_class_counts[f, c], fold_sizes[f], f),
-        )
-        fold_of_group[g] = best
-        fold_class_counts[best, c] += group_size[g]
-        fold_sizes[best] += group_size[g]
+    shuffled_pos = np.argsort(np.random.default_rng(seed).permutation(n_groups))
+    fold_counts = np.zeros((k, n_classes), dtype=int)  # rows per (fold, majority class)
+    fold_of_group = np.empty(n_groups, dtype=int)
+    for i in np.lexsort((shuffled_pos, -group_size)).tolist():
+        c = group_class[i]
+        best = np.lexsort((fold_counts.sum(axis=1), fold_counts[:, c]))[0]
+        fold_of_group[i] = best
+        fold_counts[best, c] += group_size[i]
 
-    folds = []
-    fold_idx = np.array([fold_of_group[g] for g in groups])
-    for f in range(k):
-        test = np.flatnonzero(fold_idx == f)
-        trainset = np.flatnonzero(fold_idx != f)
-        folds.append((trainset, test))
-    return folds
+    fold = fold_of_group[g]
+    return [(np.flatnonzero(fold != f), np.flatnonzero(fold == f)) for f in range(k)]
 
 
 def _out_of_fold(data, params, folds):
@@ -548,13 +545,8 @@ def _out_of_fold(data, params, folds):
     pred = np.empty(len(data.y), dtype=int)
     accs = []
     for train_idx, test_idx in folds:
-        sub = Dataset(
-            data.X[train_idx],
-            data.y[train_idx],
-            tuple(data.groups[i] for i in train_idx),
-            data.feature_names,
-            data.class_names,
-        )
+        sub = Dataset(data.X[train_idx], data.y[train_idx], data.groups[train_idx],
+                      data.feature_names, data.class_names)
         model = train(sub, params)
         pred[test_idx] = predict(model, data.X[test_idx])
         accs.append(float(np.mean(pred[test_idx] == data.y[test_idx])))
@@ -608,31 +600,21 @@ def metrics(y_true, y_pred, class_names):
     y_pred = np.asarray(y_pred, dtype=int)
     if y_true.shape != y_pred.shape:
         raise LmaError("y_true and y_pred must have equal length")
-    per_class = {}
-    precs, recs, f1s = [], [], []
-    for c, name in enumerate(class_names):
-        tp = int(np.sum((y_pred == c) & (y_true == c)))
-        fp = int(np.sum((y_pred == c) & (y_true != c)))
-        fn = int(np.sum((y_pred != c) & (y_true == c)))
-        p_flag = (tp + fp) == 0
-        r_flag = (tp + fn) == 0
-        prec = 0.0 if p_flag else tp / (tp + fp)
-        rec = 0.0 if r_flag else tp / (tp + fn)
-        f_flag = (prec + rec) == 0
-        f1 = 0.0 if f_flag else 2 * prec * rec / (prec + rec)
-        per_class[name] = {
-            "precision": prec,
-            "recall": rec,
-            "f1": f1,
-            "support": int(np.sum(y_true == c)),
-            "zero_division": p_flag or r_flag or f_flag,
-        }
-        precs.append(prec)
-        recs.append(rec)
-        f1s.append(f1)
-    macro = {
-        "precision": float(np.mean(precs)),
-        "recall": float(np.mean(recs)),
-        "f1": float(np.mean(f1s)),
+    n = len(class_names)
+    if y_true.size and (min(y_true.min(), y_pred.min()) < 0 or max(y_true.max(), y_pred.max()) >= n):
+        raise LmaError("label code outside class_names")
+    confusion = np.bincount(y_true * n + y_pred, minlength=n * n).reshape(n, n)
+    tp = np.diag(confusion)
+    support, predicted = confusion.sum(axis=1), confusion.sum(axis=0)
+    prec = np.divide(tp, predicted, out=np.zeros(n), where=predicted > 0)
+    rec = np.divide(tp, support, out=np.zeros(n), where=support > 0)
+    f1 = np.divide(2 * prec * rec, prec + rec, out=np.zeros(n), where=prec + rec > 0)
+    zero_division = (predicted == 0) | (support == 0) | (prec + rec == 0)
+    per_class = {
+        name: {"precision": p, "recall": r, "f1": f, "support": s, "zero_division": z}
+        for name, p, r, f, s, z in zip(class_names, prec.tolist(), rec.tolist(), f1.tolist(),
+                                       support.tolist(), zero_division.tolist())
     }
+    macro = {"precision": float(np.mean(prec)), "recall": float(np.mean(rec)),
+             "f1": float(np.mean(f1))}
     return {"per_class": per_class, "macro": macro}

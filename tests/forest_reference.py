@@ -1,14 +1,16 @@
 """References for the forest: the one-hot, one-feature-at-a-time split
 search and tree grower that the batched count-rank search replaced; the
-nested-dict walk that `predict_proba` replaced; and the scalar
+nested-dict walk that `predict_proba` replaced; the scalar
 path-dependent TreeSHAP recursion (Lundberg et al. 2020, Algorithm 2) that
-the row-batched `tree_shap` replaced.  The last two read the model's
-nested-dict trees, one row at a time."""
+the row-batched `tree_shap` replaced (the last two read the model's
+nested-dict trees, one row at a time); and the per-group and per-class loops
+that the whole-array fold assignment, group vote and metrics replaced."""
 
 import csv
 
 import numpy as np
 
+from lmakit.errors import LmaError
 from lmakit.forest import ForestModel, ForestParams
 
 
@@ -253,3 +255,93 @@ def random_forest(seed, n_trees, n_features, n_classes, depth):
         class_names=tuple(f"c{i}" for i in range(n_classes)),
     )
     return model, rng.choice(GRID, size=(7, n_features))
+
+
+def stratified_group_kfold(y, groups, k=3, seed=0):
+    """Folds built with one mask per group and a dict lookup per row."""
+    y = np.asarray(y, dtype=int)
+    groups = np.asarray(groups, dtype=object)
+    uniq = sorted(set(groups.tolist()))
+    n_classes = int(y.max()) + 1 if len(y) else 0
+    group_class = {}
+    group_size = {}
+    for g in uniq:
+        mask = groups == g
+        counts = np.bincount(y[mask], minlength=n_classes)
+        group_class[g] = int(np.argmax(counts))
+        group_size[g] = int(mask.sum())
+    per_class_groups = np.bincount([group_class[g] for g in uniq], minlength=n_classes)
+    for c, cnt in enumerate(per_class_groups):
+        if 0 < np.sum(y == c) and cnt < k:
+            raise LmaError(f"class {c} present in only {cnt} groups, need >= {k}")
+
+    rng = np.random.default_rng(seed)
+    shuffled_pos = {uniq[i]: p for p, i in enumerate(rng.permutation(len(uniq)))}
+    ordered = sorted(uniq, key=lambda g: (-group_size[g], shuffled_pos[g]))
+    fold_class_counts = np.zeros((k, n_classes))
+    fold_sizes = np.zeros(k)
+    fold_of_group = {}
+    for g in ordered:
+        c = group_class[g]
+        best = min(
+            range(k),
+            key=lambda f: (fold_class_counts[f, c], fold_sizes[f], f),
+        )
+        fold_of_group[g] = best
+        fold_class_counts[best, c] += group_size[g]
+        fold_sizes[best] += group_size[g]
+
+    folds = []
+    fold_idx = np.array([fold_of_group[g] for g in groups])
+    for f in range(k):
+        test = np.flatnonzero(fold_idx == f)
+        trainset = np.flatnonzero(fold_idx != f)
+        folds.append((trainset, test))
+    return folds
+
+
+def vote_by_group(y_true, y_pred, groups):
+    """Majority vote per group by a list scan of the rows for each group."""
+    uniq = sorted(set(groups))
+    gt, gp = [], []
+    for g in uniq:
+        idx = [i for i, gg in enumerate(groups) if gg == g]
+        gt.append(int(np.bincount([y_true[i] for i in idx]).argmax()))
+        gp.append(int(np.bincount([y_pred[i] for i in idx]).argmax()))
+    return np.array(gt), np.array(gp)
+
+
+def metrics(y_true, y_pred, class_names):
+    """Per-class precision/recall/F1 from four masks per class."""
+    y_true = np.asarray(y_true, dtype=int)
+    y_pred = np.asarray(y_pred, dtype=int)
+    if y_true.shape != y_pred.shape:
+        raise LmaError("y_true and y_pred must have equal length")
+    per_class = {}
+    precs, recs, f1s = [], [], []
+    for c, name in enumerate(class_names):
+        tp = int(np.sum((y_pred == c) & (y_true == c)))
+        fp = int(np.sum((y_pred == c) & (y_true != c)))
+        fn = int(np.sum((y_pred != c) & (y_true == c)))
+        p_flag = (tp + fp) == 0
+        r_flag = (tp + fn) == 0
+        prec = 0.0 if p_flag else tp / (tp + fp)
+        rec = 0.0 if r_flag else tp / (tp + fn)
+        f_flag = (prec + rec) == 0
+        f1 = 0.0 if f_flag else 2 * prec * rec / (prec + rec)
+        per_class[name] = {
+            "precision": prec,
+            "recall": rec,
+            "f1": f1,
+            "support": int(np.sum(y_true == c)),
+            "zero_division": p_flag or r_flag or f_flag,
+        }
+        precs.append(prec)
+        recs.append(rec)
+        f1s.append(f1)
+    macro = {
+        "precision": float(np.mean(precs)),
+        "recall": float(np.mean(recs)),
+        "f1": float(np.mean(f1s)),
+    }
+    return {"per_class": per_class, "macro": macro}

@@ -6,8 +6,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lmakit.cli import main
+from forest_reference import vote_by_group
+from lmakit.cli import _build_parser, _vote_by_group, main
+from lmakit.features import FEATURE_NAMES
 
 
 @pytest.fixture(scope="module")
@@ -298,7 +302,27 @@ def test_eval_refuses_model_with_other_feature_schema(ws, tmp_path, capsys):
     model.write_text(json.dumps(payload))
     out = tmp_path / "o"
     assert main(["--out", str(out), "eval", str(model), str(ws / "feats" / "features.csv")]) == 2
-    assert "schema" in capsys.readouterr().err
+    assert f"error: {model}: model feature schema" in capsys.readouterr().err
+
+
+def test_explain_refuses_model_with_other_feature_schema(ws, tmp_path, capsys):
+    payload = json.loads((ws / "model" / "model.json").read_text())
+    payload["feature_names"][-1] = "renamed"
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(payload))
+    assert main(["--out", str(tmp_path / "o"), "explain", str(model),
+                 str(ws / "feats" / "features.csv")]) == 2
+    assert f"error: {model}: model feature schema" in capsys.readouterr().err
+
+
+def test_eval_refuses_labels_outside_model_classes(ws, tmp_path, capsys):
+    lines = (ws / "feats" / "features.csv").read_text().split("\n")
+    cells = lines[2].split(",")
+    cells[55] = "tango"
+    path = tmp_path / "features.csv"
+    path.write_text("\n".join([lines[0], lines[1], ",".join(cells)] + lines[3:]))
+    assert main(["--out", str(tmp_path / "o"), "eval", str(ws / "model" / "model.json"), str(path)]) == 2
+    assert f"error: {path}: labels not in the model's classes: ['tango']" in capsys.readouterr().err
 
 
 def test_metrics_macro_row_has_total_support(ws, tmp_path):
@@ -554,11 +578,118 @@ def test_config_without_section_header_exit_2(ws, tmp_path, capsys):
     ["floor", "c.txt", "--up-axis", "5"],
     ["floor", "c.txt", "--depth-axis", "-1"],
     ["--threads", "0", "train", "f.csv"],
+    ["train", "f.csv", "--n-trees", "none"],
+    ["train", "f.csv", "--n-trees", ","],
+    ["train", "f.csv", "--max-depth", "4,,8"],
+    ["train", "f.csv", "--max-depth", "0"],
+    ["train", "f.csv", "--min-samples-leaf", "none"],
+    ["sweep", "--n-trees", "5,7", "s.jsonl"],
+    ["sweep", "--max-depth", "6,none", "s.jsonl"],
+    ["sweep", "--min-samples-leaf", "0", "s.jsonl"],
+    ["synth", "--duration", "nan"],
+    ["synth", "--duration", "0"],
+    ["synth", "--fps", "inf"],
+    ["synth", "--fps", "-60"],
+    ["synth", "--noise", "nan"],
+    ["synth", "--noise", "-0.001"],
 ])
 def test_out_of_range_flag_exit_1(tmp_path, capsys, argv):
     assert main(["--out", str(tmp_path / "o"), *argv]) == 1
     assert "usage error" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_grid_flags_parse():
+    parse = _build_parser().parse_args
+    args = parse(["train", "f.csv"])
+    assert (args.n_trees, args.max_depth, args.min_samples_leaf) == ([50, 100, 200], [8, 12, None], [1, 5])
+    args = parse(["train", "f.csv", "--n-trees", "20", "--max-depth", "6,None",
+                  "--min-samples-leaf", "1,2,4,8"])
+    assert (args.n_trees, args.max_depth, args.min_samples_leaf) == ([20], [6, None], [1, 2, 4, 8])
+    args = parse(["sweep", "s.jsonl"])
+    assert (args.n_trees, args.max_depth, args.min_samples_leaf) == (30, 12, 1)
+    args = parse(["sweep", "--n-trees", "5", "--max-depth", "none", "--min-samples-leaf", "2", "s.jsonl"])
+    assert (args.n_trees, args.max_depth, args.min_samples_leaf) == (5, None, 2)
+
+
+# --- per-group majority vote ------------------------------------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(n_classes=st.integers(1, 4), n=st.integers(1, 30), data=st.data())
+def test_vote_by_group_equals_scan_reference(n_classes, n, data):
+    # few groups and classes, so groups mix classes and tie on their majority
+    codes = st.lists(st.integers(0, n_classes - 1), min_size=n, max_size=n)
+    y_true, y_pred = np.array(data.draw(codes)), np.array(data.draw(codes))
+    groups = data.draw(st.lists(st.sampled_from(["g10", "g2", "g1", "h"]), min_size=n, max_size=n))
+    got, expected = _vote_by_group(y_true, y_pred, groups), vote_by_group(y_true, y_pred, groups)
+    for a, b in zip(got, expected):
+        np.testing.assert_array_equal(a, b)
+
+
+def _write_rows(path, rows):
+    """A feature CSV with one row per (label, group, x); all 55 features are x."""
+    lines = [",".join([*FEATURE_NAMES, "label", "group_id", "window_start"])]
+    lines += [",".join([str(x)] * len(FEATURE_NAMES) + [label, group, str(i)])
+              for i, (label, group, x) in enumerate(rows)]
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _metrics_rows(path):
+    return path.read_text().strip().split("\n")[1:]
+
+
+def test_eval_vote_takes_each_groups_majority(tmp_path):
+    # a stump predicts a for x = 0 and b for x = 1; group majorities (truth,
+    # prediction), a tie going to a: g1 (a, a), g2 (b, b), g3 (a by tie, b),
+    # g4 (b, a by tie), g5 (a, a)
+    rows = [("a", "g1", 0), ("a", "g1", 0), ("b", "g1", 0),
+            ("b", "g2", 1), ("b", "g2", 1), ("a", "g2", 1),
+            ("a", "g3", 1), ("b", "g3", 1),
+            ("b", "g4", 0), ("b", "g4", 1),
+            ("a", "g5", 0)]
+    _write_rows(tmp_path / "features.csv", rows)
+    leaf = lambda counts: {"counts": counts, "cover": 1}  # noqa: E731
+    model = {
+        "format_version": 1,
+        "params": {"n_trees": 1, "max_depth": None, "min_samples_leaf": 1,
+                   "features_per_split": 8, "bootstrap": True, "seed": 0},
+        "class_names": ["a", "b"],
+        "feature_names": list(FEATURE_NAMES),
+        "trees": [{"feature": 0, "threshold": 0.5, "cover": 2,
+                   "left": leaf([1, 0]), "right": leaf([0, 1])}],
+    }
+    (tmp_path / "model.json").write_text(json.dumps(model))
+    out = tmp_path / "eval"
+    assert main(["--out", str(out), "eval", str(tmp_path / "model.json"),
+                 str(tmp_path / "features.csv"), "--vote"]) == 0
+    assert _metrics_rows(out / "metrics.csv") == [
+        "a,0.666666667,0.666666667,0.666666667,3,0",
+        "b,0.5,0.5,0.5,2,0",
+        "macro,0.583333333,0.583333333,0.583333333,5,",
+    ]
+    assert json.loads((out / "manifest.json").read_text())["config"] == {"vote": True}
+
+
+def test_train_vote_takes_each_groups_majority(tmp_path):
+    # every feature is 0 for a and 1 for b, so out-of-fold predictions are
+    # right; group majorities, a tie going to a: g1 a, g2 b, g3 a (tie), g4 b, g5 a
+    rows = [("a", "g1", 0), ("a", "g1", 0), ("b", "g1", 1),
+            ("b", "g2", 1), ("b", "g2", 1), ("a", "g2", 0),
+            ("a", "g3", 0), ("b", "g3", 1),
+            ("b", "g4", 1), ("b", "g4", 1),
+            ("a", "g5", 0)]
+    _write_rows(tmp_path / "features.csv", rows)
+    (tmp_path / "cfg.ini").write_text("[forest]\nbootstrap = false\n")
+    out = tmp_path / "train"
+    assert main(["--config", str(tmp_path / "cfg.ini"), "--out", str(out), "train",
+                 str(tmp_path / "features.csv"), "--n-trees", "1", "--max-depth", "2",
+                 "--min-samples-leaf", "1", "--k", "2", "--vote"]) == 0
+    assert _metrics_rows(out / "metrics.csv") == [
+        "a,1,1,1,3,0",
+        "b,1,1,1,2,0",
+        "macro,1,1,1,5,",
+    ]
 
 
 # --- unreadable inputs and output directories ---------------------------------

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import forest_reference
 from forest_reference import (
     best_split,
     dict_predict_proba,
@@ -307,6 +308,35 @@ def test_kfold_insufficient_groups_raises():
         stratified_group_kfold(y, groups, k=3, seed=0)
 
 
+@st.composite
+def grouped_codes(draw):
+    """(class codes, group ids) in shuffled row order.  Sizes of 1..4 rows tie
+    often; a group's rows may mix classes and tie on its majority; some
+    classes below the highest code may be absent; ids sort as strings."""
+    n_classes = draw(st.integers(1, 4))
+    y, groups = [], []
+    for g in range(draw(st.integers(1, 16))):
+        size = draw(st.integers(1, 4))
+        y += draw(st.lists(st.integers(0, n_classes - 1), min_size=size, max_size=size))
+        groups += [f"g{g}"] * size
+    order = draw(st.permutations(range(len(y))))
+    return np.array(y)[order], [groups[i] for i in order]
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=grouped_codes(), k=st.integers(2, 5), seed=st.integers(0, 2**32 - 1))
+def test_kfold_equals_loop_reference(rows, k, seed):
+    y, groups = rows
+
+    def outcome(kfold):
+        try:
+            return [(tr.tolist(), te.tolist()) for tr, te in kfold(y, groups, k=k, seed=seed)]
+        except LmaError as e:
+            return str(e)
+
+    assert outcome(stratified_group_kfold) == outcome(forest_reference.stratified_group_kfold)
+
+
 def test_kfold_deterministic_per_seed():
     data = _blobs()
     f1 = stratified_group_kfold(data.y, data.groups, k=3, seed=4)
@@ -372,6 +402,24 @@ def test_metrics_zero_division_flagged():
     m = metrics(np.array([0, 0]), np.array([0, 0]), ("a", "b"))
     assert m["per_class"]["b"]["zero_division"]
     assert m["per_class"]["b"]["f1"] == 0.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(n_classes=st.integers(1, 5), n=st.integers(0, 40), data=st.data())
+def test_metrics_equal_mask_reference(n_classes, n, data):
+    codes = st.lists(st.integers(0, n_classes - 1), min_size=n, max_size=n)
+    y_true, y_pred = np.array(data.draw(codes), dtype=int), np.array(data.draw(codes), dtype=int)
+    names = tuple(f"c{i}" for i in range(n_classes))
+    # json tells 1 from 1.0 and True, and prints floats exactly
+    assert (json.dumps(metrics(y_true, y_pred, names))
+            == json.dumps(forest_reference.metrics(y_true, y_pred, names)))
+
+
+def test_metrics_rejects_codes_outside_class_names():
+    with pytest.raises(LmaError, match="outside class_names"):
+        metrics(np.array([0, 2]), np.array([0, 1]), ("a", "b"))
+    with pytest.raises(LmaError, match="outside class_names"):
+        metrics(np.array([0, 1]), np.array([-1, 1]), ("a", "b"))
 
 
 def test_metrics_length_mismatch():
