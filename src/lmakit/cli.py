@@ -102,7 +102,16 @@ def _load_cloud(path):
         if len(point) != 3:
             raise LmaError(f"{path}:{lineno}: expected 'x y z' numbers")
         pts.append(point)
-    return np.array(pts)
+    return np.array(pts, dtype=float).reshape(-1, 3)
+
+
+def _fit_cloud(path, **kwargs):
+    """`fit_floor` on the point cloud file at `path`; its errors name the file."""
+    cloud = _load_cloud(path)
+    try:
+        return fit_floor(cloud, **kwargs)
+    except LmaError as e:
+        raise LmaError(f"{path}: {e}") from e
 
 
 def _out_dir(path):
@@ -141,8 +150,8 @@ def _read_config_file(path):
 
 
 def _resolved(args, file_cfg, key, cast, default):
-    """CLI flag > config file > default.  A file value that does not parse as
-    `cast` is a data error naming the file and `section.key`."""
+    """CLI flag > config file > default.  A file value that `cast` refuses is
+    a data error naming the file and `section.key`."""
     flag = getattr(args, key.split(".")[-1].replace("-", "_"), None)
     if flag is not None:
         return flag
@@ -155,14 +164,16 @@ def _resolved(args, file_cfg, key, cast, default):
         return cast(raw)
     except (KeyError, ValueError):
         raise LmaError(f"{args.config}: {key} = {raw!r} is not a valid {cast.__name__}") from None
+    except argparse.ArgumentTypeError as e:
+        raise LmaError(f"{args.config}: {key}: {e}") from None
 
 
 def _lma_config(args, file_cfg, window=None):
     """The `[lma]` settings around `window`, by default the `[window]` one."""
     return LmaConfig(
         window=window or WindowConfig(
-            w=_resolved(args, file_cfg, "window.w", int, 55),
-            stride=_resolved(args, file_cfg, "window.stride", int, 1),
+            w=_resolved(args, file_cfg, "window.w", WINDOW, 55),
+            stride=_resolved(args, file_cfg, "window.stride", STRIDE, 1),
         ),
         initiation_scale=_resolved(args, file_cfg, "lma.initiation_scale", float, 1.0),
         epsilon_net=_resolved(args, file_cfg, "lma.epsilon_net", float, 1e-3),
@@ -177,20 +188,25 @@ def _forest_settings(args, file_cfg):
     }
 
 
-def _number(cast, lo, strict=False):
-    """argparse type: a finite `cast` value >= lo, or > lo if `strict`."""
+def _number(cast, lo, strict=False, below=math.inf):
+    """argparse type: a finite `cast` value >= lo (> lo if `strict`) and < below."""
 
     def number(text):
         try:
             value = cast(text)
         except ValueError:
             value = math.nan  # fails every comparison
-        if not (value > lo if strict else value >= lo) or value == math.inf:
+        if not ((value > lo if strict else value >= lo) and value < below):
+            upper = f" and < {below}" if below < math.inf else ""
             raise argparse.ArgumentTypeError(
-                f"expected a finite {cast.__name__} {'>' if strict else '>='} {lo}, got {text!r}")
+                f"expected a finite {cast.__name__} {'>' if strict else '>='} {lo}{upper}, got {text!r}")
         return value
 
     return number
+
+
+WINDOW, STRIDE = _number(int, 2), _number(int, 1)  # frames
+TAU = _number(float, 0, strict=True, below=1)  # quantile of the floor fit
 
 
 def _depth(text):
@@ -231,13 +247,8 @@ def _load_sequences(paths, max_gap=6):
 
 
 def _floor_for(args, notes):
-    if getattr(args, "cloud", None):
-        cloud = _load_cloud(args.cloud)
-        plane = fit_floor(cloud, tau=args.tau)
-        notes["floor"] = "fitted-from-cloud"
-        return plane
-    notes["floor"] = "assumed-flat"
-    return flat_floor()
+    notes["floor"] = "fitted-from-cloud" if args.cloud else "assumed-flat"
+    return _fit_cloud(args.cloud, tau=args.tau) if args.cloud else flat_floor()
 
 
 def cmd_extract(args, file_cfg, out):
@@ -267,8 +278,7 @@ def cmd_extract(args, file_cfg, out):
 
 
 def cmd_floor(args, file_cfg, out):
-    cloud = _load_cloud(args.cloud)
-    plane = fit_floor(cloud, tau=args.tau, up_axis=args.up_axis, depth_axis=args.depth_axis)
+    plane = _fit_cloud(args.cloud, tau=args.tau, up_axis=args.up_axis, depth_axis=args.depth_axis)
     payload = {
         "slope": plane.slope,
         "intercept": plane.intercept,
@@ -470,7 +480,7 @@ def cmd_explain(args, file_cfg, out):
 
 def cmd_kinplot(args, file_cfg, out):
     seq = _load_sequences([args.sequence])[0]
-    w = WindowConfig(w=_resolved(args, file_cfg, "window.w", int, 55)).w
+    w = _resolved(args, file_cfg, "window.w", WINDOW, 55)
     if seq.n_frames < w:
         raise LmaError(f"sequence shorter than window ({seq.n_frames} < {w})")
     prim = features.SequencePrimitives(seq)
@@ -503,20 +513,20 @@ def _build_parser():
     p = sub.add_parser("extract", help="sequences -> feature CSV")
     p.add_argument("sequences", nargs="+")
     p.add_argument("--cloud", default=None, help="point cloud file (x y z per line)")
-    p.add_argument("--tau", type=float, default=0.05)
-    p.add_argument("--w", dest="w", type=int, default=None)
-    p.add_argument("--stride", type=int, default=None)
+    p.add_argument("--tau", type=TAU, default=0.05)
+    p.add_argument("--w", dest="w", type=WINDOW, default=None)
+    p.add_argument("--stride", type=STRIDE, default=None)
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("floor", help="fit the floor plane from a point cloud")
     p.add_argument("cloud")
-    p.add_argument("--tau", type=float, default=0.05)
+    p.add_argument("--tau", type=TAU, default=0.05)
     p.add_argument("--up-axis", type=int, choices=(0, 1, 2), default=1)
     p.add_argument("--depth-axis", type=int, choices=(0, 1, 2), default=2)
     p.set_defaults(func=cmd_floor)
 
     p = sub.add_parser("synth", help="generate the synthetic 10-style corpus")
-    p.add_argument("--per-style", type=int, default=6)
+    p.add_argument("--per-style", type=_number(int, 3), default=6)
     p.add_argument("--duration", type=_number(float, 0, strict=True), default=20.0)
     p.add_argument("--fps", type=_number(float, 0, strict=True), default=60.0)
     p.add_argument("--noise", type=_number(float, 0), default=0.005)
@@ -541,10 +551,10 @@ def _build_parser():
     p = sub.add_parser("sweep", help="accuracy vs window size")
     p.add_argument("sequences", nargs="+")
     p.add_argument("--sizes", type=_int_list, default=[5, 15, 30, 55])
-    p.add_argument("--stride", type=int, default=5)
+    p.add_argument("--stride", type=STRIDE, default=5)
     p.add_argument("--k", type=_number(int, 2), default=3)
     p.add_argument("--cloud", default=None)
-    p.add_argument("--tau", type=float, default=0.05)
+    p.add_argument("--tau", type=TAU, default=0.05)
     p.add_argument("--n-trees", type=_number(int, 1), default=30)
     p.add_argument("--max-depth", type=_depth, default=12)
     p.add_argument("--min-samples-leaf", type=_number(int, 1), default=1)
@@ -558,7 +568,7 @@ def _build_parser():
 
     p = sub.add_parser("kinplot", help="windowed mean-speed curve")
     p.add_argument("sequence")
-    p.add_argument("--w", dest="w", type=int, default=None)
+    p.add_argument("--w", dest="w", type=WINDOW, default=None)
     p.set_defaults(func=cmd_kinplot)
 
     return parser

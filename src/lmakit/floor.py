@@ -2,8 +2,8 @@
 
 The floor is modeled as a line h = slope * d + intercept in the
 (depth, height) projection of the cloud; fitting minimizes the pinball
-(quantile) loss, so a low quantile tracks the cloud's lower envelope and
-ignores points belonging to the body.
+(quantile) loss exactly, so a low quantile tracks the cloud's lower envelope
+and ignores points belonging to the body.
 """
 
 from dataclasses import dataclass
@@ -50,49 +50,39 @@ def _check_cloud(points):
     return pts
 
 
-def _irls_quantile_line(d, h, tau, eps_start=1e-2, eps_end=1e-8, max_iter=200):
-    """Iteratively reweighted LS on a smoothed pinball loss."""
-    A = np.column_stack([d, np.ones_like(d)])
-    coef, *_ = np.linalg.lstsq(A, h, rcond=None)
-    eps = eps_start
-    decay = (eps_end / eps_start) ** (1.0 / max_iter)
-    for _ in range(max_iter):
-        r = h - A @ coef
-        w = np.where(r >= 0, tau, 1.0 - tau) / np.maximum(np.abs(r), eps)
-        sw = np.sqrt(w)
-        coef_new, *_ = np.linalg.lstsq(A * sw[:, None], h * sw, rcond=None)
-        if np.max(np.abs(coef_new - coef)) < 1e-12:
-            coef = coef_new
-            break
-        coef = coef_new
-        eps = max(eps * decay, eps_end)
-    return coef
+def _line_through(i, d, h, tau):
+    """(slope, intercept, loss) of the lowest-loss line through sample i.
 
-
-def _polish_by_interpolation(d, h, tau, coef, n_candidates=40):
-    """Refine to an exact vertex solution.
-
-    An optimal quantile-regression line interpolates at least two samples;
-    candidate pairs are drawn from the points with the smallest residuals
-    around the IRLS solution and the exact loss decides.
+    With a_k = d_k - d_i, sample k's residual is a_k * (t_k - slope), so the
+    best slope is the first slope t_k, in order, at which the running sum of
+    |a_k| reaches tau * sum(a > 0) + (1 - tau) * sum(|a < 0|).
     """
-    r = np.abs(h - (coef[0] * d + coef[1]))
-    cand = np.argsort(r, kind="stable")[: min(n_candidates, len(d))]
-    best_loss = pinball_loss(h - (coef[0] * d + coef[1]), tau)
-    best = (float(coef[0]), float(coef[1]))
-    for ai in range(len(cand)):
-        for bi in range(ai + 1, len(cand)):
-            i, j = cand[ai], cand[bi]
-            dd = d[j] - d[i]
-            if dd == 0.0:
-                continue
-            slope = (h[j] - h[i]) / dd
-            intercept = h[i] - slope * d[i]
-            loss = pinball_loss(h - (slope * d + intercept), tau)
-            if loss < best_loss - 1e-15:
-                best_loss = loss
-                best = (slope, intercept)
-    return best[0], best[1], best_loss
+    moves = d != d[i]
+    a = d[moves] - d[i]
+    t = (h[moves] - h[i]) / a
+    order = np.argsort(t, kind="stable")
+    target = tau * a[a > 0].sum() - (1.0 - tau) * a[a < 0].sum()
+    k = int(np.searchsorted(np.cumsum(np.abs(a[order])), target))
+    # for tau within rounding of 0 or 1 the target can pass the summed weight
+    slope = float(t[order[min(k, len(t) - 1)]])
+    intercept = float(h[i] - slope * d[i])
+    return slope, intercept, pinball_loss(h - (slope * d + intercept), tau)
+
+
+def _quantile_line(d, h, tau):
+    """Exact descent over lines through two samples (Koenker & Bassett 1978;
+    Barrodale & Roberts 1973).  From the best line through the lowest sample,
+    rotate about every sample on the current line and keep the lowest loss,
+    while that lowers it; where no rotation helps, the simplex optimality
+    condition holds and the loss is the minimum."""
+    line = _line_through(int(np.argmin(h)), d, h, tau)
+    while True:
+        slope, intercept, loss = line
+        sd = slope * d
+        on_line = np.abs(h - (sd + intercept)) <= 1e-12 * (np.abs(h) + np.abs(sd) + abs(intercept))
+        line = min((_line_through(i, d, h, tau) for i in np.flatnonzero(on_line)), key=lambda fit: fit[2])
+        if not line[2] < loss - 1e-15:
+            return slope, intercept, loss
 
 
 def fit_floor(points, tau=0.05, up_axis=1, depth_axis=2):
@@ -106,8 +96,7 @@ def fit_floor(points, tau=0.05, up_axis=1, depth_axis=2):
     h = pts[:, up_axis]
     if np.ptp(d) == 0.0:
         raise DegenerateFitError("all cloud points share one depth coordinate")
-    coef = _irls_quantile_line(d, h, tau)
-    slope, intercept, loss = _polish_by_interpolation(d, h, tau, coef)
+    slope, intercept, loss = _quantile_line(d, h, tau)
     return FloorPlane(
         slope=slope,
         intercept=intercept,

@@ -472,6 +472,25 @@ def test_output_path_holding_a_directory_exit_2(ws, tmp_path, capsys, command, n
     assert capsys.readouterr().err.startswith(f"error: {blocked}: cannot write: ")
 
 
+@pytest.mark.parametrize("text,message", [
+    ("# a scan with no points\n# x y z\n", "needs >= 10 points"),
+    ("0 0.1 0.2\n0 0.3 0.4\n0 0.2 0.9\n", "needs >= 10 points"),
+    ("\n".join(f"0 {0.1 * i} 2.5" for i in range(12)), "one depth coordinate"),
+], ids=["comments-only", "three-points", "one-depth"])
+@pytest.mark.parametrize("command", ["floor", "extract", "sweep"])
+def test_bad_cloud_names_the_file_exit_2(ws, tmp_path, capsys, command, text, message):
+    cloud = tmp_path / "cloud.txt"
+    cloud.write_text(text)
+    seqs = sorted(str(p) for p in (ws / "corpus").glob("*.jsonl"))
+    argv = {"floor": ["floor", str(cloud)],
+            "extract": ["extract", "--w", "30", "--cloud", str(cloud), *seqs],
+            "sweep": ["sweep", "--sizes", "30", "--cloud", str(cloud), *seqs]}[command]
+    assert main(["--out", str(tmp_path / "o"), *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cloud}: ") and message in err
+    assert not (tmp_path / "o" / "manifest.json").exists()
+
+
 def test_kinplot_two_frame_sequence_exit_2(tmp_path, capsys):
     from conftest import make_sequence, static_pose_positions
     from lmakit.sequence import save_sequence
@@ -544,6 +563,8 @@ def test_sweep_honours_lma_and_forest_config(ws, tmp_path, monkeypatch):
 @pytest.mark.parametrize("command,section,key,value", [
     ("extract", "lma", "epsilon_net", "abc"),
     ("extract", "window", "w", "abc"),
+    ("extract", "window", "w", "1"),
+    ("extract", "window", "stride", "0"),
     ("sweep", "lma", "initiation_scale", "abc"),
     ("sweep", "forest", "features_per_split", "x"),
     ("train", "forest", "features_per_split", "x"),
@@ -592,6 +613,18 @@ def test_config_without_section_header_exit_2(ws, tmp_path, capsys):
     ["synth", "--fps", "-60"],
     ["synth", "--noise", "nan"],
     ["synth", "--noise", "-0.001"],
+    ["synth", "--per-style", "0"],
+    ["synth", "--per-style", "2"],
+    ["extract", "s.jsonl", "--tau", "nan"],
+    ["extract", "s.jsonl", "--tau", "0"],
+    ["sweep", "--tau", "1", "s.jsonl"],
+    ["floor", "c.txt", "--tau", "2"],
+    ["floor", "c.txt", "--tau", "inf"],
+    ["extract", "--w", "0", "s.jsonl"],
+    ["extract", "--w", "1", "s.jsonl"],
+    ["extract", "--stride", "0", "s.jsonl"],
+    ["sweep", "--stride", "0", "s.jsonl"],
+    ["kinplot", "--w", "0", "s.jsonl"],
 ])
 def test_out_of_range_flag_exit_1(tmp_path, capsys, argv):
     assert main(["--out", str(tmp_path / "o"), *argv]) == 1

@@ -66,6 +66,56 @@ def test_optimality_vs_pair_oracle_random_clouds(seed):
     assert plane.pinball_loss <= oracle + 1e-6
 
 
+def test_exact_on_cloud_missed_by_candidate_polish():
+    # a floor under a body, where a polish over pairs of the 40 samples
+    # nearest an IRLS line stopped 5.8e-3 above the optimum
+    rng = np.random.default_rng(10063)
+    n = int(rng.integers(50, 3000))
+    d = rng.uniform(-3, 3, n)
+    h = 0.05 * d + np.where(rng.random(n) < 0.7, rng.uniform(0.2, 2.0, n), rng.normal(0, 0.01, n))
+    tau = float(rng.uniform(0.02, 0.98))
+    plane = fit_floor(_cloud(d, h), tau=tau)
+    assert abs(plane.pinball_loss - pair_enumeration_pinball_oracle(d, h, tau)) <= 1e-9
+
+
+def _degenerate_cloud(rng, kind):
+    n = int(rng.integers(10, 40))
+    if kind == "grid":
+        d = rng.integers(-3, 4, n).astype(float)
+        h = rng.integers(0, 4, n).astype(float)
+    elif kind == "duplicates":  # a few points, each repeated
+        base = rng.uniform(-2, 2, (int(rng.integers(3, 8)), 2)).round(1)
+        d, h = base[rng.integers(0, len(base), n)].T
+    elif kind == "collinear":  # a run of points on one line among grid points
+        d = rng.integers(-5, 6, n).astype(float)
+        h = np.where(rng.random(n) < 0.6, 0.5 * d + 1.0, rng.integers(0, 5, n).astype(float))
+    else:  # a noiseless floor under a body
+        d = rng.uniform(0, 4, n)
+        h = 0.1 * d + 0.3 + np.where(rng.random(n) < 0.4, rng.uniform(0.5, 1.5, n), 0.0)
+    d[0] = d[1] + 1.0  # at least two depths
+    return d, h
+
+
+@pytest.mark.parametrize("kind", ["grid", "duplicates", "collinear", "floor-under-body"])
+def test_exact_on_degenerate_clouds(kind):
+    for seed in range(60):
+        rng = np.random.default_rng(seed)
+        d, h = _degenerate_cloud(rng, kind)
+        tau = float(rng.choice([0.05, 0.25, 0.5, 0.75, rng.uniform(0.02, 0.98)]))
+        plane = fit_floor(_cloud(d, h), tau=tau)
+        gap = plane.pinball_loss - pair_enumeration_pinball_oracle(d, h, tau)
+        assert abs(gap) <= 1e-9, (seed, tau, gap)
+
+
+@pytest.mark.parametrize("tau", [1e-17, 1 - 1e-16])
+def test_exact_at_extreme_tau(tau):
+    rng = np.random.default_rng(11)
+    d = rng.uniform(0, 5, 60)
+    h = rng.normal(0, 1, 60)
+    plane = fit_floor(_cloud(d, h), tau=tau)
+    assert abs(plane.pinball_loss - pair_enumeration_pinball_oracle(d, h, tau)) <= 1e-9
+
+
 def test_translation_equivariance():
     rng = np.random.default_rng(7)
     d = rng.uniform(0, 5, 80)
