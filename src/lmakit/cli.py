@@ -223,10 +223,6 @@ def _list_of(item):
     return items
 
 
-def _int_list(v):
-    return [None if tok.lower() == "none" else int(tok) for tok in v.split(",") if tok != ""]
-
-
 def _load_sequences(paths, max_gap=6):
     """Load and repair every sequence; refuse a set with mixed frame rates,
     because windows are counted in frames."""
@@ -424,8 +420,6 @@ def cmd_sweep(args, file_cfg, out):
     plane = _floor_for(args, notes)
     min_T = min(s.n_frames for s in seqs)
     sizes = args.sizes
-    if not sizes or None in sizes:
-        raise LmaError(f"--sizes takes window sizes in frames, got {sizes}")
     for w in sizes:
         if w > min_T:
             raise LmaError(f"window {w} exceeds shortest sequence ({min_T} frames)")
@@ -550,7 +544,7 @@ def _build_parser():
 
     p = sub.add_parser("sweep", help="accuracy vs window size")
     p.add_argument("sequences", nargs="+")
-    p.add_argument("--sizes", type=_int_list, default=[5, 15, 30, 55])
+    p.add_argument("--sizes", type=_list_of(WINDOW), default=[5, 15, 30, 55])
     p.add_argument("--stride", type=STRIDE, default=5)
     p.add_argument("--k", type=_number(int, 2), default=3)
     p.add_argument("--cloud", default=None)
@@ -578,6 +572,8 @@ def main(argv=None):
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command == "floor" and args.up_axis == args.depth_axis:
+            parser.error("--up-axis and --depth-axis must differ")
         file_cfg = _read_config_file(args.config) if args.config else {}
         out = _out_dir(args.out)
         _write_manifest(out, args.command, args.seed, **args.func(args, file_cfg, out))

@@ -40,45 +40,71 @@ class ShapExplanation:
 # children of every split, so the path it holds at a leaf -- each distinct
 # split feature with its zero fraction z -- is the same for every row; only
 # the one fractions o (1 if the row follows all of that feature's splits on
-# the path, else 0) depend on the row.  With the paths precomputed per model
-# (`LeafPaths`), a tree is one pass over arrays of (rows, leaves, elements):
-# the permutation weights w are extended element by element, then every
-# element is unwound from them at once, each step elementwise the
-# recursion's own arithmetic.  Two things differ only in rounding: a feature
-# split on twice enters once with its merged fractions, where the recursion
-# unwinds and extends it again, and dummy elements (z = o = 1, which change
-# no attribution) give every path of a tree the same length.
+# the path, else 0) depend on the row, through the splits it follows.  With
+# the paths precomputed per model (`LeafPaths`), a tree is one pass over the
+# distinct (leaf, followed splits) cells of its rows, which are few: the
+# permutation weights w are extended element by element, then every element
+# is unwound from them at once, each step elementwise the recursion's own
+# arithmetic (Yang 2021 precomputes all 2^depth patterns of each leaf; only
+# those that occur are computed here).  Two things differ only in rounding: a
+# feature split on twice enters once with its merged fractions, where the
+# recursion unwinds and extends it again, and dummy elements (z = o = 1,
+# which change no attribution) give every path of a tree the same length.
 
-_BLOCK = 1 << 20  # at most this many (row, leaf, feature) cells per pass
+_BLOCK = 1 << 20  # at most this many (row, leaf, feature or split) cells per pass
+
+
+def _distinct_cells(follow):
+    """(inverse, rep) for `follow` (rows, leaves, depth): the index of each
+    (row, leaf) cell among the distinct (leaf, followed splits) pairs, and for
+    each pair the flat (row, leaf) index of one cell holding it.
+
+    The key is the leaf, then 31 split columns at a time, made dense again
+    after each chunk so that it fits an int64 at any depth."""
+    n, n_leaves, depth = follow.shape
+    follow = follow.reshape(n * n_leaves, depth)
+    cell = np.tile(np.arange(n_leaves), n)
+    for start in range(0, max(depth, 1), 31):
+        bits = follow[:, start:start + 31]
+        cell = np.unique(cell << bits.shape[1] | bits @ (1 << np.arange(bits.shape[1])),
+                         return_inverse=True)[1]
+    rep = np.empty(cell.max() + 1, dtype=int)
+    rep[cell] = np.arange(len(cell))  # cells of one pair are alike, so any will do
+    return cell, rep
 
 
 def _tree_phi(paths, flat, X):
     """One tree's attributions of every row of X, shape (rows, C, used features)."""
     n, (n_leaves, depth), l = len(X), paths.splits.shape, paths.zero.shape[1] - 1
     follow = (X[:, flat.feature[paths.splits]] <= flat.threshold[paths.splits]) == paths.went_left
-    o = np.ones((n, n_leaves, l + 1))
-    leaf = np.arange(n_leaves)
+    inverse, rep = _distinct_cells(follow)
+    leaf, cell = rep % n_leaves, np.arange(len(rep))
+    follow = follow.reshape(n * n_leaves, depth)[rep]
+    element_of = paths.element_of[leaf]
+    o = np.ones((len(rep), l + 1))
     for col in range(depth):
-        o[:, leaf, paths.element_of[:, col]] *= follow[:, :, col]
+        o[cell, element_of[:, col]] *= follow[:, col]
 
-    w = np.ones((n, n_leaves, 1))
+    z = paths.zero[leaf]
+    w = np.ones((len(rep), 1))
     for k in range(1, l + 1):
         i = np.arange(k)
-        grown = np.zeros((n, n_leaves, k + 1))
-        grown[..., :k] = paths.zero[:, k, None] * w * (k - i) / (k + 1)
-        grown[..., 1:] += o[..., k, None] * w * (i + 1) / (k + 1)
+        grown = np.zeros((len(rep), k + 1))
+        grown[:, :k] = z[:, k, None] * w * (k - i) / (k + 1)
+        grown[:, 1:] += o[:, k, None] * w * (i + 1) / (k + 1)
         w = grown
 
-    z, o = paths.zero[:, 1:], o[..., 1:]
+    z, o = z[:, 1:], o[:, 1:]
     z_div = np.where(z > 0, z, 1.0)  # z = 0 only on the way to an empty leaf, whose value is 0
     unwound = np.zeros(o.shape)
-    carry = w[..., l:]
+    carry = w[:, l:]
     for j in range(l - 1, -1, -1):
         t = carry * (l + 1) / (j + 1)  # o is 0 or 1: the recursion's (j + 1) * o where o = 1
-        unwound += np.where(o != 0.0, t, w[..., j:j + 1] * (l + 1) / (z_div * (l - j)))
-        carry = w[..., j:j + 1] - t * z * (l - j) / (l + 1)
-    scaled = np.zeros((n, n_leaves, len(paths.used) + 1))
-    scaled[:, leaf[:, None], paths.slots[:, 1:]] = unwound * (o - z)
+        unwound += np.where(o != 0.0, t, w[:, j:j + 1] * (l + 1) / (z_div * (l - j)))
+        carry = w[:, j:j + 1] - t * z * (l - j) / (l + 1)
+    scaled = np.zeros((len(rep), len(paths.used) + 1))
+    scaled[cell[:, None], paths.slots[leaf, 1:]] = unwound * (o - z)
+    scaled = scaled[inverse].reshape(n, n_leaves, len(paths.used) + 1)
     return np.matmul(flat.value[paths.leaves].T, scaled)[..., :-1]
 
 
@@ -98,7 +124,8 @@ def tree_shap(model, X):
     rows = np.atleast_2d(X)
     phi = np.zeros((len(rows), model.n_classes, model.n_features))
     for paths in flat.paths:
-        step = max(1, _BLOCK // (len(paths.leaves) * max(paths.zero.shape[1], len(paths.used) + 1)))
+        width = max(paths.zero.shape[1], len(paths.used) + 1, paths.splits.shape[1])
+        step = max(1, _BLOCK // (len(paths.leaves) * width))
         for start in range(0, len(rows), step):
             block = slice(start, start + step)
             phi[block][..., paths.used] += _tree_phi(paths, flat, rows[block])
@@ -203,21 +230,22 @@ def _csv_cells(*fields):
 def write_explanations_csv(explanation, path):
     """One line per instance, class and feature, written an instance at a time.
 
-    Name cells are quoted and the base values formatted once up front; only
-    the attributions are formatted per line.
+    One `%` template holds an instance's lines, with the quoted name cells
+    and the base values in place; each instance is one `template % args`.
     """
     phi = _stacked(explanation)
-    names = [[_csv_cells(c, f) for f in explanation.feature_names] for c in explanation.class_names]
-    base = [f"{v:.9g}" for v in explanation.base.tolist()]
+    template = "".join(
+        f"%s,{_csv_cells(c, f).replace('%', '%%')},%.9g,{b:.9g}\n"
+        for c, b in zip(explanation.class_names, explanation.base.tolist())
+        for f in explanation.feature_names
+    )
+    args = [None] * (2 * phi[0].size)
     with open_output(path) as fh:
         fh.write("instance,class,feature,phi,base\n")
-        for n in range(len(phi)):
-            iid = str(n)  # once per instance, not once per line
-            fh.write("".join(
-                f"{iid},{cell},{value:.9g},{b}\n"
-                for cells, row, b in zip(names, phi[n].tolist(), base)
-                for cell, value in zip(cells, row)
-            ))
+        for n, values in enumerate(phi.reshape(len(phi), phi[0].size)):
+            args[::2] = [n] * len(values)
+            args[1::2] = values.tolist()  # per instance: all rows' floats at once swell peak memory
+            fh.write(template % tuple(args))
 
 
 def write_summary_csv(ranking, path):

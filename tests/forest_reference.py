@@ -3,8 +3,10 @@ search and tree grower that the batched count-rank search replaced; the
 nested-dict walk that `predict_proba` replaced; the scalar
 path-dependent TreeSHAP recursion (Lundberg et al. 2020, Algorithm 2) that
 the row-batched `tree_shap` replaced (the last two read the model's
-nested-dict trees, one row at a time); and the per-group and per-class loops
-that the whole-array fold assignment, group vote and metrics replaced."""
+nested-dict trees, one row at a time); the row-batched TreeSHAP pass over
+every (row, leaf) cell that the pass over distinct (leaf, followed splits)
+cells replaced; and the per-group and per-class loops that the whole-array
+fold assignment, group vote and metrics replaced."""
 
 import csv
 
@@ -210,6 +212,50 @@ def per_row_tree_shap(model, x):
         base += _tree_expected_value(tree)
     n = len(model.trees)
     return (phi / n).T, base / n
+
+
+def row_batched_tree_phi(paths, flat, X):
+    """One tree's attributions of every row of X, shape (rows, C, used
+    features), computed for every (row, leaf) cell."""
+    n, (n_leaves, depth), l = len(X), paths.splits.shape, paths.zero.shape[1] - 1
+    follow = (X[:, flat.feature[paths.splits]] <= flat.threshold[paths.splits]) == paths.went_left
+    o = np.ones((n, n_leaves, l + 1))
+    leaf = np.arange(n_leaves)
+    for col in range(depth):
+        o[:, leaf, paths.element_of[:, col]] *= follow[:, :, col]
+
+    w = np.ones((n, n_leaves, 1))
+    for k in range(1, l + 1):
+        i = np.arange(k)
+        grown = np.zeros((n, n_leaves, k + 1))
+        grown[..., :k] = paths.zero[:, k, None] * w * (k - i) / (k + 1)
+        grown[..., 1:] += o[..., k, None] * w * (i + 1) / (k + 1)
+        w = grown
+
+    z, o = paths.zero[:, 1:], o[..., 1:]
+    z_div = np.where(z > 0, z, 1.0)
+    unwound = np.zeros(o.shape)
+    carry = w[..., l:]
+    for j in range(l - 1, -1, -1):
+        t = carry * (l + 1) / (j + 1)
+        unwound += np.where(o != 0.0, t, w[..., j:j + 1] * (l + 1) / (z_div * (l - j)))
+        carry = w[..., j:j + 1] - t * z * (l - j) / (l + 1)
+    scaled = np.zeros((n, n_leaves, len(paths.used) + 1))
+    scaled[:, leaf[:, None], paths.slots[:, 1:]] = unwound * (o - z)
+    return np.matmul(flat.value[paths.leaves].T, scaled)[..., :-1]
+
+
+def row_batched_tree_shap(model, X, rows_per_pass=64):
+    """phi (rows, C, F) of `tree_shap`, from `row_batched_tree_phi`, the trees
+    added in the same order."""
+    flat = model.flat
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    phi = np.zeros((len(X), model.n_classes, model.n_features))
+    for paths in flat.paths:
+        for start in range(0, len(X), rows_per_pass):
+            block = slice(start, start + rows_per_pass)
+            phi[block][..., paths.used] += row_batched_tree_phi(paths, flat, X[block])
+    return phi / len(flat.roots)
 
 
 def write_explanations_csv_per_row(explanations, path):

@@ -501,12 +501,6 @@ def test_kinplot_two_frame_sequence_exit_2(tmp_path, capsys):
     assert "too short" in capsys.readouterr().err
 
 
-def test_sweep_sizes_none_exit_2(ws, tmp_path, capsys):
-    seqs = sorted(str(p) for p in (ws / "corpus").glob("*.jsonl"))
-    assert main(["--out", str(tmp_path / "o"), "sweep", "--sizes", "none", *seqs]) == 2
-    assert "--sizes" in capsys.readouterr().err
-
-
 def test_explanations_csv_matches_per_row_writer(ws, tmp_path):
     # the CLI's batched explanations, against the per-row recursion written
     # by the per-row writer
@@ -625,6 +619,10 @@ def test_config_without_section_header_exit_2(ws, tmp_path, capsys):
     ["extract", "--stride", "0", "s.jsonl"],
     ["sweep", "--stride", "0", "s.jsonl"],
     ["kinplot", "--w", "0", "s.jsonl"],
+    ["floor", "c.txt", "--up-axis", "2", "--depth-axis", "2"],
+    ["sweep", "--sizes", "none", "s.jsonl"],
+    ["sweep", "--sizes", "1", "s.jsonl"],
+    ["sweep", "--sizes", "5,,7", "s.jsonl"],
 ])
 def test_out_of_range_flag_exit_1(tmp_path, capsys, argv):
     assert main(["--out", str(tmp_path / "o"), *argv]) == 1

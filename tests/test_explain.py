@@ -7,10 +7,12 @@ from conftest import subset_shapley_oracle
 from forest_reference import (
     per_row_tree_shap,
     random_forest,
+    row_batched_tree_shap,
     write_explanations_csv_per_row,
 )
 from lmakit.errors import LmaError
 from lmakit.explain import (
+    _BLOCK,
     ShapExplanation,
     brute_shap,
     summary_rank,
@@ -251,12 +253,46 @@ def test_batched_matches_per_row_recursion_and_oracle(seed, n_trees, n_features,
     model, X = random_forest(seed, n_trees, n_features, n_classes, depth)
     exp = tree_shap(model, X)
     assert exp.phi.shape == (len(X), n_classes, n_features)
+    assert np.array_equal(exp.phi, row_batched_tree_shap(model, X))
     for row, phi in zip(X, exp.phi):
         ref_phi, ref_base = per_row_tree_shap(model, row)
         np.testing.assert_allclose(phi, ref_phi, rtol=0, atol=1e-15)
         np.testing.assert_array_equal(exp.base, ref_base)
         np.testing.assert_allclose(phi, brute_shap(model, row), rtol=0, atol=1e-9)
     np.testing.assert_allclose(exp.prediction(), predict_proba(model, X), rtol=0, atol=1e-12)
+
+
+def _chain_tree(rng, n_splits):
+    """A chain of splits alternating between f0 and f1: each split has a leaf
+    on a random side and the rest of the chain on the other."""
+
+    def leaf():
+        cover = int(rng.integers(1, 6))
+        return {"counts": rng.multinomial(cover, [0.5, 0.5]).tolist(), "cover": cover}
+
+    node = leaf()
+    for k in range(n_splits):
+        side = leaf()
+        left, right = (side, node) if rng.random() < 0.5 else (node, side)
+        node = {"feature": k % 2, "threshold": float(rng.uniform(-1.0, 1.0)),
+                "cover": left["cover"] + right["cover"], "left": left, "right": right}
+    return node
+
+
+def test_deep_chain_matches_row_batched_reference_and_oracle():
+    # 70 splits: a leaf's followed-split key spans three 31-column chunks,
+    # and 300 rows of it take more than one pass of _BLOCK cells
+    rng = np.random.default_rng(11)
+    model = _hand_model([_chain_tree(rng, 70)])
+    X = rng.uniform(-1.0, 1.0, size=(300, 2))
+    paths = model.flat.paths[0]
+    assert paths.splits.shape[1] == 70
+    assert len(X) * len(paths.leaves) * paths.splits.shape[1] > _BLOCK
+    exp = tree_shap(model, X)
+    assert np.array_equal(exp.phi, row_batched_tree_shap(model, X))
+    for x, phi in zip(X, exp.phi):
+        np.testing.assert_allclose(phi, brute_shap(model, x), rtol=0, atol=1e-9)
+    np.testing.assert_allclose(exp.prediction(), predict_proba(model, X), rtol=0, atol=1e-9)
 
 
 def test_batch_rows_equal_single_rows():
@@ -276,8 +312,8 @@ def test_batched_explanation_csv_matches_per_row_writer(tmp_path):
 
 def test_csv_quotes_names_like_csv_writer(tmp_path):
     e = ShapExplanation(
-        phi=np.array([[[0.5, -0.25]]]), base=np.array([0.125]), x=np.zeros((1, 2)),
-        class_names=('a,"b"',), feature_names=("f 0", "f\n1"),
+        phi=np.array([[[0.5, -0.25], [1.5, 2.0]]]), base=np.array([0.125, 0.875]),
+        x=np.zeros((1, 2)), class_names=('a,"b"', "5% of %s"), feature_names=("f 0", "f\n1"),
     )
     path = tmp_path / "q.csv"
     write_explanations_csv(e, path)
@@ -285,6 +321,8 @@ def test_csv_quotes_names_like_csv_writer(tmp_path):
         'instance,class,feature,phi,base\n'
         '0,"a,""b""",f 0,0.5,0.125\n'
         '0,"a,""b""","f\n1",-0.25,0.125\n'
+        '0,5% of %s,f 0,1.5,0.875\n'
+        '0,5% of %s,"f\n1",2,0.875\n'
     )
 
 
