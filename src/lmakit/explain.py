@@ -122,13 +122,15 @@ def tree_shap(model, X):
         raise LmaError("non-finite input to tree_shap")
     flat = model.flat
     rows = np.atleast_2d(X)
-    phi = np.zeros((len(rows), model.n_classes, model.n_features))
+    # summed feature-major, so that each tree's used features are whole rows
+    total = np.zeros((model.n_features, len(rows), model.n_classes))
     for paths in flat.paths:
         width = max(paths.zero.shape[1], len(paths.used) + 1, paths.splits.shape[1])
         step = max(1, _BLOCK // (len(paths.leaves) * width))
         for start in range(0, len(rows), step):
             block = slice(start, start + step)
-            phi[block][..., paths.used] += _tree_phi(paths, flat, rows[block])
+            total[paths.used, block] += _tree_phi(paths, flat, rows[block]).transpose(2, 0, 1)
+    phi = np.ascontiguousarray(total.transpose(1, 2, 0))
     phi /= len(flat.roots)
     return ShapExplanation(
         phi=phi if X.ndim == 2 else phi[0],

@@ -5,8 +5,17 @@ Trees store per-node training sample counts ("cover") so that attribution
 code can weight conditional expectations without revisiting the data.
 Trees are grown and saved as nested dicts; prediction and attribution read
 one flat-array view of them (`FlatForest`), built and checked once per model.
+
+Tree i of a forest draws from its own stream, seeded by (seed, i), so the
+grid search grows each fold's trees once for the whole lattice: one
+`_grow_tree` call grows tree i for every (max_depth, min_samples_leaf) pair
+at once, sharing the nodes where the pairs agree, and a k-tree point is
+scored from the running sum of its first k trees' leaf values, read off each
+nested-dict tree as it is grown.  Every fold accuracy and prediction equals
+that of a separate fit of the point.
 """
 
+import copy
 import json
 import math
 from dataclasses import asdict, dataclass, fields, replace
@@ -91,30 +100,34 @@ class ForestParams:
             raise LmaError("features_per_split must be >= 1")
 
 
-def _best_split(X, idx, feats, node_codes, totals, min_leaf):
+def _best_split(X, idx, feats, node_codes, totals, min_leafs):
     """Best (gini, feature, threshold) over the sorted sampled features
-    `feats` at the node holding rows `idx`, or None, in one (feats, n) pass.
+    `feats` at the node holding rows `idx`, or None, for each leaf minimum
+    in `min_leafs`, from one (feats, n) pass.
 
     Left of a split, the sum of squared class counts is the running sum of
     2r + 1, r being each sample's rank among the earlier samples of its
     class in value order, so every Gini value is exact.  Thresholds are
     midpoints between consecutive distinct sorted values (the lower one
     where the midpoint rounds onto the upper, so both sides keep their
-    samples).  A feature's ties go to its lowest threshold; a later feature
+    samples).  A leaf minimum m admits the splits with m to n - m samples on
+    the left.  A feature's ties go to its lowest threshold; a later feature
     wins only if its gini is more than 1e-15 lower.
     """
     values = X[idx[None, :], feats[:, None]]
-    order = np.argsort(values, axis=1, kind="stable")
+    # any order of equal values will do: a split between distinct values has
+    # the same samples on its left whatever their order within a tie
+    order = np.argsort(values, axis=1)
     rows = np.arange(len(feats))[:, None]
     v = values[rows, order]
     c = node_codes[order]
     n = len(idx)
+    # splits allowed only between distinct values
+    distinct = v[:, 1:] > v[:, :-1]
+    if not distinct.any():
+        return [None] * len(min_leafs)
     nl = np.arange(1.0, n)  # split size of the left side
     nr = n - nl
-    # splits allowed only between distinct values and obeying the leaf minimum
-    valid = (v[:, 1:] > v[:, :-1]) & (nl >= min_leaf) & (nr >= min_leaf)
-    if not valid.any():
-        return None
     # grouped by class, the samples' ranks are 0..total-1 within each class
     rank = np.empty(c.shape, dtype=np.intp)
     first = np.repeat(np.cumsum(totals) - totals, totals)
@@ -124,44 +137,102 @@ def _best_split(X, idx, feats, node_codes, totals, min_leaf):
     sq_r = np.cumsum(2 * later[:, ::-1] + 1, axis=1)[:, -2::-1]
     gini_l = 1.0 - sq_l / (nl * nl)
     gini_r = 1.0 - sq_r / (nr * nr)
-    weighted = np.where(valid, (nl * gini_l + nr * gini_r) / n, np.inf)
-    # argmin takes each row's first, lowest, threshold
-    best = None
-    for i, (gini, k) in enumerate(zip(weighted.min(axis=1).tolist(),
-                                      weighted.argmin(axis=1).tolist())):
-        if gini != math.inf and (best is None or gini < best[0] - 1e-15):
-            best = (gini, i, k)
-    gini, i, k = best
-    thr = 0.5 * (v[i, k] + v[i, k + 1])
-    if thr >= v[i, k + 1]:
-        thr = v[i, k]
-    return gini, int(feats[i]), float(thr)
+    weighted = np.where(distinct, (nl * gini_l + nr * gini_r) / n, np.inf)
+
+    found = {}
+    for m in min_leafs:
+        if m in found:
+            continue
+        found[m] = None
+        if 2 * m > n:
+            continue
+        allowed = weighted[:, m - 1:n - m]
+        # argmin takes each row's first, lowest, threshold
+        best = None
+        for i, (gini, k) in enumerate(zip(allowed.min(axis=1).tolist(),
+                                          allowed.argmin(axis=1).tolist())):
+            if gini != math.inf and (best is None or gini < best[0] - 1e-15):
+                best = (gini, i, k + m - 1)
+        if best is not None:
+            gini, i, k = best
+            thr = 0.5 * (v[i, k] + v[i, k + 1])
+            if thr >= v[i, k + 1]:
+                thr = v[i, k]
+            found[m] = (gini, int(feats[i]), float(thr))
+    return [found[m] for m in min_leafs]
 
 
-def _grow_tree(X, codes, n_classes, params, rng):
+def _grow_tree(X, codes, n_classes, features_per_split, bootstrap, variants, rng):
+    """One tree for each (max_depth, min_samples_leaf) pair in `variants`,
+    each equal to the tree grown for that pair alone from `rng`.
+
+    The variants that reach a node with the same rows and generator state
+    share its class count, its feature draw and one split search.  Where
+    some stop and others split, or their best splits differ, they part, and
+    each part goes on with its own copy of the generator; a variant's right
+    subtree starts from the state its left subtree left behind.
+    """
     n_features = X.shape[1]
-    mtry = min(params.features_per_split, n_features)
+    mtry = min(features_per_split, n_features)
     # the narrowest type: numpy's stable argsort of 8- and 16-bit integers is a radix sort
     codes = codes.astype(np.min_scalar_type(n_classes))
+    depth_cap = [math.inf if d is None else d for d, _ in variants]
+    min_leaf = [m for _, m in variants]
+    gen = [rng] * len(variants)  # the generator each variant draws from next
 
-    def build(idx, depth):
+    def fork(part, rng):
+        copied = copy.deepcopy(rng)
+        for v in part:
+            gen[v] = copied
+
+    def build(idx, depth, group):
+        """The subtree over rows `idx` of each variant in `group`; they hold one generator."""
         node_codes = codes[idx]
         totals = np.bincount(node_codes, minlength=n_classes)
-        best = None
-        if (len(idx) >= 2 * params.min_samples_leaf and np.count_nonzero(totals) > 1
-                and depth < (params.max_depth or math.inf)):
-            feats = np.sort(rng.choice(n_features, size=mtry, replace=False))
-            best = _best_split(X, idx, feats, node_codes, totals, params.min_samples_leaf)
-        if best is None:
-            return {"counts": totals.tolist(), "cover": int(len(idx))}
-        _, f, thr = best
-        mask = X[idx, f] <= thr
-        left = build(idx[mask], depth + 1)
-        right = build(idx[~mask], depth + 1)
-        return {"feature": f, "threshold": thr, "cover": int(len(idx)), "left": left, "right": right}
+        n = len(idx)
+        grow = [v for v in group if n >= 2 * min_leaf[v] and depth < depth_cap[v]]
+        if not grow or np.count_nonzero(totals) < 2:
+            return [{"counts": totals.tolist(), "cover": n}] * len(group)
+        rng = gen[group[0]]
+        if len(grow) < len(group):
+            # the variants that stop here keep the state from before the feature draw
+            fork([v for v in group if v not in grow], rng)
+        feats = np.sort(rng.choice(n_features, size=mtry, replace=False))
+        splits = _best_split(X, idx, feats, node_codes, totals, [min_leaf[v] for v in grow])
+        if len(grow) == len(group) and splits[0] is not None and splits.count(splits[0]) == len(grow):
+            return split_node(idx, depth, group, *splits[0][1:])  # the group goes on together
+        parts = {}
+        for v, split in zip(grow, splits):
+            parts.setdefault(split, []).append(v)
+        for part in list(parts.values())[1:]:
+            fork(part, rng)
+        nodes = {}
+        for split, part in parts.items():
+            if split is not None:
+                nodes.update(zip(part, split_node(idx, depth, part, *split[1:])))
+        leaf = {"counts": totals.tolist(), "cover": n}
+        return [nodes.get(v, leaf) for v in group]
+
+    def split_node(idx, depth, part, f, thr):
+        mask = X[:, f][idx] <= thr
+        left = build(idx[mask], depth + 1, part)
+        if len(part) == 1:
+            right = build(idx[~mask], depth + 1, part)
+        else:
+            # the variants that the left subtrees leave on one generator grow the right one together
+            on = {}
+            for v in part:
+                on.setdefault(id(gen[v]), []).append(v)
+            by_variant = {}
+            for vs in on.values():
+                by_variant.update(zip(vs, build(idx[~mask], depth + 1, vs)))
+            right = [by_variant[v] for v in part]
+        return [{"feature": f, "threshold": thr, "cover": len(idx), "left": l, "right": r}
+                for l, r in zip(left, right)]
 
     n = X.shape[0]
-    return build(np.sort(rng.integers(0, n, size=n)) if params.bootstrap else np.arange(n), 0)
+    idx = np.sort(rng.integers(0, n, size=n)) if bootstrap else np.arange(n)
+    return build(idx, 0, range(len(variants)))
 
 
 def _is_int(v):
@@ -472,8 +543,10 @@ def train(data, params):
     if X.shape[0] < 2:
         raise LmaError("need at least 2 training samples")
     n_classes = len(data.class_names)
+    variant = [(params.max_depth, params.min_samples_leaf)]
     trees = tuple(
-        _grow_tree(X, y, n_classes, params, _tree_rng(params.seed, i))
+        _grow_tree(X, y, n_classes, params.features_per_split, params.bootstrap, variant,
+                   _tree_rng(params.seed, i))[0]
         for i in range(params.n_trees)
     )
     return ForestModel(
@@ -540,23 +613,63 @@ def stratified_group_kfold(y, groups, k=3, seed=0):
     return [(np.flatnonzero(fold != f), np.flatnonzero(fold == f)) for f in range(k)]
 
 
-def _out_of_fold(data, params, folds):
-    """Out-of-fold class predictions in row order, and per-fold accuracies."""
-    pred = np.empty(len(data.y), dtype=int)
-    accs = []
+def _add_leaf_values(node, X, rows, total):
+    """Add to `total` each row's leaf class distribution in the nested-dict
+    tree `node`, the value `predict_proba` adds for that tree."""
+    if not len(rows):
+        return
+    if "feature" in node:
+        left = X[:, node["feature"]][rows] <= node["threshold"]
+        _add_leaf_values(node["left"], X, rows[left], total)
+        _add_leaf_values(node["right"], X, rows[~left], total)
+    else:
+        total[rows] += np.array(node["counts"]) / node["cover"]
+
+
+def _score_lattice(data, points, folds):
+    """Each lattice point's pooled out-of-fold class predictions (row order)
+    and its count of correct predictions on each fold.
+
+    Points sharing (features_per_split, bootstrap, seed) form a family.  On
+    each fold, tree i of all the family's (max_depth, min_samples_leaf)
+    variants is grown by one `_grow_tree` call, up to the family's largest
+    n_trees, and a point with n_trees k is scored from its variant's running
+    sum of the first k trees' leaf values, which is the sum `predict_proba`
+    of a k-tree model divides by k.  Each tree is scored as it is grown.
+    """
+    n_classes = len(data.class_names)
+    predictions = [np.empty(len(data.y), dtype=int) for _ in points]
+    correct = [[] for _ in points]
+    families = {}  # (features_per_split, bootstrap, seed) -> {(max_depth, min_samples_leaf): [point]}
+    for j, p in enumerate(points):
+        family = families.setdefault((p.features_per_split, p.bootstrap, p.seed), {})
+        family.setdefault((p.max_depth, p.min_samples_leaf), []).append(j)
     for train_idx, test_idx in folds:
-        sub = Dataset(data.X[train_idx], data.y[train_idx], data.groups[train_idx],
-                      data.feature_names, data.class_names)
-        model = train(sub, params)
-        pred[test_idx] = predict(model, data.X[test_idx])
-        accs.append(float(np.mean(pred[test_idx] == data.y[test_idx])))
-    return pred, accs
+        if len(train_idx) < 2:
+            raise LmaError("need at least 2 training samples")
+        X, y = data.X[train_idx], data.y[train_idx]
+        X_test, y_test = data.X[test_idx], data.y[test_idx]
+        test_rows = np.arange(len(test_idx))
+        for (features_per_split, bootstrap, seed), family in families.items():
+            sums = np.zeros((len(family), len(test_idx), n_classes))
+            n_trees = max(points[j].n_trees for members in family.values() for j in members)
+            for i in range(n_trees):
+                trees = _grow_tree(X, y, n_classes, features_per_split, bootstrap, list(family),
+                                   _tree_rng(seed, i))
+                for tree, total, members in zip(trees, sums, family.values()):
+                    _add_leaf_values(tree, X_test, test_rows, total)
+                    for j in members:
+                        if points[j].n_trees == i + 1:
+                            predictions[j][test_idx] = pred = np.argmax(total / (i + 1), axis=1)
+                            correct[j].append(int(np.count_nonzero(pred == y_test)))
+    return predictions, correct
 
 
 def cross_val_accuracy(data, params, k=3, seed=0):
     """Per-fold validation accuracies under grouped stratified CV."""
     folds = stratified_group_kfold(data.y, data.groups, k=k, seed=seed)
-    return _out_of_fold(data, params, folds)[1]
+    correct = _score_lattice(data, [params], folds)[1][0]
+    return [c / len(test_idx) for c, (_, test_idx) in zip(correct, folds)]
 
 
 def expand_grid(grid):
@@ -565,21 +678,37 @@ def expand_grid(grid):
     return [ForestParams(**dict(zip(keys, combo))) for combo in product(*(grid[k] for k in keys))]
 
 
+def _best_point(points, fold_correct, fold_sizes):
+    """Index of the point with the highest mean fold accuracy, each fold's
+    taken exactly as correct/size; ties go to fewer trees, then shallower,
+    then the earlier point."""
+    # the mean times k * lcm(sizes), an integer, so that equal means tie
+    scale = [math.lcm(*fold_sizes) // size for size in fold_sizes]
+
+    def key(j):
+        exact = sum(c * w for c, w in zip(fold_correct[j], scale))
+        return exact, -points[j].n_trees, -(points[j].max_depth or math.inf)
+    return max(range(len(points)), key=key)
+
+
 def grid_search(data, grid, k=3, seed=0):
     """Evaluate every lattice point; ties prefer fewer trees, then shallower.
 
     Each report entry also keeps the point's pooled out-of-fold predictions
-    ("predictions", class codes in row order).
+    ("predictions", class codes in row order).  Every tree is the one a
+    separate fit of its point would grow.
     """
     if isinstance(grid, dict):
         grid = expand_grid(grid)
     if not grid:
         raise LmaError("empty parameter grid")
     folds = stratified_group_kfold(data.y, data.groups, k=k, seed=seed)
+    sizes = [len(test_idx) for _, test_idx in folds]
+    points = [replace(params, seed=seed) for params in grid]
+    predictions, correct = _score_lattice(data, points, folds)
     report = []
-    for params in grid:
-        params = replace(params, seed=seed)
-        pred, accs = _out_of_fold(data, params, folds)
+    for params, pred, hits in zip(points, predictions, correct):
+        accs = [c / size for c, size in zip(hits, sizes)]
         report.append(
             {
                 "params": params,
@@ -588,10 +717,7 @@ def grid_search(data, grid, k=3, seed=0):
                 "predictions": pred,
             }
         )
-
-    best = max(report, key=lambda r: (r["mean_accuracy"], -r["params"].n_trees,
-                                      -(r["params"].max_depth or math.inf)))
-    return best["params"], report
+    return points[_best_point(points, correct, sizes)], report
 
 
 def metrics(y_true, y_pred, class_names):

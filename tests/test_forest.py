@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +19,10 @@ from lmakit.forest import (
     Dataset,
     ForestModel,
     ForestParams,
+    _add_leaf_values,
+    _best_point,
     _best_split,
+    _grow_tree,
     _tree_rng,
     cross_val_accuracy,
     expand_grid,
@@ -54,7 +58,7 @@ def _one_feature_split(values, codes, n_classes, min_leaf):
     """(gini, threshold) of `_best_split` on the single feature `values`, or None."""
     X = np.asarray(values, dtype=float)[:, None]
     totals = np.bincount(codes, minlength=n_classes)
-    best = _best_split(X, np.arange(len(X)), np.array([0]), codes, totals, min_leaf)
+    best, = _best_split(X, np.arange(len(X)), np.array([0]), codes, totals, [min_leaf])
     return None if best is None else (best[0], best[2])
 
 
@@ -146,8 +150,9 @@ def _nodes(draw):
 def test_best_split_equals_one_hot_reference(node):
     X, codes, n_classes, idx, feats, min_leaf = node
     totals = np.bincount(codes[idx], minlength=n_classes)
-    got = _best_split(X, idx, feats, codes[idx], totals, min_leaf)
-    want = best_split(X, idx, feats, codes, n_classes, min_leaf)
+    min_leafs = [min_leaf, 1, len(idx) // 2 + 1, min_leaf]
+    got = _best_split(X, idx, feats, codes[idx], totals, min_leafs)
+    want = [best_split(X, idx, feats, codes, n_classes, m) for m in min_leafs]
     assert got == want  # exact: gini, feature and threshold
 
 
@@ -155,8 +160,8 @@ def test_best_split_two_samples():
     X = np.array([[0.0, 5.0], [1.0, 5.0]])
     codes = np.array([1, 0])
     totals = np.bincount(codes, minlength=3)
-    assert _best_split(X, np.arange(2), np.array([0, 1]), codes, totals, 1) == (0.0, 0, 0.5)
-    assert _best_split(X, np.arange(2), np.array([1]), codes, totals, 1) is None
+    assert _best_split(X, np.arange(2), np.array([0, 1]), codes, totals, [1]) == [(0.0, 0, 0.5)]
+    assert _best_split(X, np.arange(2), np.array([1]), codes, totals, [1]) == [None]
 
 
 @pytest.mark.parametrize("params", [
@@ -171,6 +176,52 @@ def test_train_grows_the_reference_trees(params):
     want = tuple(grow_tree(data.X, data.y, len(data.class_names), params, _tree_rng(params.seed, i))
                  for i in range(params.n_trees))
     assert train(data, params).trees == want
+
+
+@st.composite
+def _lattices(draw):
+    """Training rows (ties, constant columns, absent classes) and a lattice of
+    (max_depth, min_samples_leaf) variants, repeats allowed, for one tree."""
+    n_rows = draw(st.integers(2, 60))
+    n_features = draw(st.integers(1, 5))
+    n_classes = draw(st.integers(1, 4))
+    pool = st.sampled_from(_COARSE) | st.floats(-10, 10, allow_nan=False)
+    X = np.array(draw(st.lists(st.lists(pool, min_size=n_features, max_size=n_features),
+                               min_size=n_rows, max_size=n_rows)))
+    codes = np.array(draw(st.lists(st.integers(0, n_classes - 1), min_size=n_rows,
+                                   max_size=n_rows)))
+    variants = draw(st.lists(st.tuples(st.sampled_from([None, 1, 2, 3, 5]), st.integers(1, 8)),
+                             min_size=1, max_size=6))
+    features_per_split = draw(st.integers(1, n_features + 1))
+    return X, codes, n_classes, variants, features_per_split, draw(st.booleans())
+
+
+@settings(max_examples=150, deadline=None)
+@given(lattice=_lattices(), seed=st.integers(0, 2**64 - 1), tree_index=st.integers(0, 99))
+def test_joint_growth_equals_separate_growth(lattice, seed, tree_index):
+    X, codes, n_classes, variants, features_per_split, bootstrap = lattice
+    joint = _grow_tree(X, codes, n_classes, features_per_split, bootstrap, variants,
+                       _tree_rng(seed, tree_index))
+    assert len(joint) == len(variants)
+    for (max_depth, min_leaf), tree in zip(variants, joint):
+        alone, = _grow_tree(X, codes, n_classes, features_per_split, bootstrap,
+                            [(max_depth, min_leaf)], _tree_rng(seed, tree_index))
+        params = ForestParams(n_trees=1, max_depth=max_depth, min_samples_leaf=min_leaf,
+                              features_per_split=features_per_split, bootstrap=bootstrap)
+        want = grow_tree(X, codes, n_classes, params, _tree_rng(seed, tree_index))
+        assert tree == alone == want
+
+
+def test_joint_growth_parts_variants_mid_tree():
+    # depth caps and leaf minimums that bind at different nodes of one tree
+    data = _blobs(seed=3, sep=1.0)
+    variants = [(None, 1), (3, 1), (None, 6), (2, 12), (None, 1)]
+    joint = _grow_tree(data.X, data.y, 3, 2, True, variants, _tree_rng(9, 4))
+    for (max_depth, min_leaf), tree in zip(variants, joint):
+        params = ForestParams(n_trees=1, max_depth=max_depth, min_samples_leaf=min_leaf,
+                              features_per_split=2)
+        assert tree == grow_tree(data.X, data.y, 3, params, _tree_rng(9, 4))
+    assert len({json.dumps(t, sort_keys=True) for t in joint}) == 4
 
 
 # --- training and prediction --------------------------------------------------
@@ -532,14 +583,54 @@ def test_shared_node_object_rejected():
 
 
 def test_grid_search_keeps_out_of_fold_predictions():
-    # the pooled predictions of a refit of every fold, as `train` used to build them
-    data = _blobs(n_per=30)
-    best, report = grid_search(data, {"n_trees": [3, 6], "max_depth": [4]}, k=3, seed=2)
+    # every point scored as a separate `train` + `predict` of each fold would score it
+    data = _blobs(n_per=30, sep=1.0)
+    grid = {"n_trees": [3, 7, 1], "max_depth": [2, None], "min_samples_leaf": [1, 6],
+            "features_per_split": [2, 3]}
+    best, report = grid_search(data, grid, k=3, seed=2)
+    assert [r["params"] for r in report] == [replace(p, seed=2) for p in expand_grid(grid)]
+    folds = stratified_group_kfold(data.y, data.groups, k=3, seed=2)
+    correct = []
     for entry in report:
         expected = np.empty(len(data.y), dtype=int)
-        for tr, te in stratified_group_kfold(data.y, data.groups, k=3, seed=2):
+        for tr, te in folds:
             sub = Dataset(data.X[tr], data.y[tr], tuple(data.groups[i] for i in tr),
                           data.feature_names, data.class_names)
             expected[te] = predict(train(sub, entry["params"]), data.X[te])
         np.testing.assert_array_equal(entry["predictions"], expected)
+        accs = [float(np.mean(expected[te] == data.y[te])) for _, te in folds]
+        assert entry["fold_accuracies"] == accs
         assert entry["fold_accuracies"] == cross_val_accuracy(data, entry["params"], k=3, seed=2)
+        assert entry["mean_accuracy"] == float(np.mean(accs))
+        correct.append([int(np.sum(expected[te] == data.y[te])) for _, te in folds])
+    sizes = [len(te) for _, te in folds]
+    assert best is report[_best_point([r["params"] for r in report], correct, sizes)]["params"]
+
+
+def test_leaf_value_sums_equal_predict_proba():
+    data = _blobs(n_per=20, sep=1.0)
+    model = train(data, ForestParams(n_trees=7, max_depth=None, seed=3))
+    total = np.zeros((len(data.y), 3))
+    for tree in model.trees:
+        _add_leaf_values(tree, data.X, np.arange(len(data.y)), total)
+    assert np.array_equal(total / 7, predict_proba(model, data.X))
+
+
+def test_best_point_ranks_exact_means():
+    # three 110-row folds with 306 of 330 rows right: equal means whose float
+    # means differ in the last bit
+    points = [ForestParams(n_trees=20, max_depth=6, min_samples_leaf=m) for m in (1, 2, 4, 8)]
+    correct = [[99, 100, 105], [99, 100, 107], [100, 99, 107], [101, 99, 106]]
+    sizes = [110, 110, 110]
+    floats = [float(np.mean([c / s for c, s in zip(hits, sizes)])) for hits in correct]
+    assert floats[3] > floats[2] and floats[1] == floats[2]
+    assert _best_point(points, correct, sizes) == 1
+
+
+def test_best_point_tie_rule():
+    points = [ForestParams(n_trees=n, max_depth=d) for n, d in
+              [(10, None), (10, 4), (5, None), (5, 8), (5, 8), (20, 2)]]
+    correct = [[3, 4]] * len(points)
+    assert _best_point(points, correct, [5, 5]) == 3  # fewer trees, then shallower, then first
+    correct[5] = [4, 4]
+    assert _best_point(points, correct, [5, 5]) == 5
