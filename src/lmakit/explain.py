@@ -1,8 +1,9 @@
 """Exact per-prediction attribution for forest models.
 
 `tree_shap` runs the polynomial-time path recursion (Lundberg et al. 2020,
-Algorithm 2) over each tree's node arrays, for all rows at once, using node
-covers (training sample counts) to weight conditional expectations.
+Algorithm 2) over the leaf paths of runs of trees, for all rows at once,
+using node covers (training sample counts) to weight conditional
+expectations.
 `brute_shap` is its exponential-time oracle: the textbook Shapley sum over
 all feature subsets, with the same cover-weighted expectation, walking the
 nested-dict trees.  Both target the probability output, so attributions
@@ -41,17 +42,33 @@ class ShapExplanation:
 # split feature with its zero fraction z -- is the same for every row; only
 # the one fractions o (1 if the row follows all of that feature's splits on
 # the path, else 0) depend on the row, through the splits it follows.  With
-# the paths precomputed per model (`LeafPaths`), a tree is one pass over the
-# distinct (leaf, followed splits) cells of its rows, which are few: the
-# permutation weights w are extended element by element, then every element
-# is unwound from them at once, each step elementwise the recursion's own
-# arithmetic (Yang 2021 precomputes all 2^depth patterns of each leaf; only
-# those that occur are computed here).  Two things differ only in rounding: a
-# feature split on twice enters once with its merged fractions, where the
-# recursion unwinds and extends it again, and dummy elements (z = o = 1,
-# which change no attribution) give every path of a tree the same length.
+# the paths precomputed per model (`LeafPaths`), a run of consecutive trees
+# is one pass over the distinct (leaf, followed splits) cells of its rows,
+# which are few: the permutation weights w are extended element by element,
+# then every element is unwound from them at once, each step elementwise the
+# recursion's own arithmetic (Yang 2021 precomputes all 2^depth patterns of
+# each leaf; only those that occur are computed here).  Two things differ
+# only in rounding: a feature split on twice enters once with its merged
+# fractions, where the recursion unwinds and extends it again, and dummy
+# elements (z = o = 1, which change no attribution) give every path of a run
+# the same length.  The leaves of a run are summed in one product, so the
+# trees' sum is rounded as that product orders it.
+#
+# Runs of trees are merged as GPUTreeShap merges paths (Mitchell et al.
+# 2022), sized from the shapes alone: a run grows while a pass over all the
+# rows of the call, rows x leaves x width cells, stays within _RUN, where the
+# width is the run's union of split features plus one, or its depth if that
+# is more.  One row then takes a forest of a thousand leaves in one pass,
+# of two thousand in two; a large batch falls back to one tree per pass, in
+# row blocks of up to _BLOCK cells.  The union widens the (rows, leaves, width)
+# arrays of a pass, which is why the run bound is the smaller: at 1 << 17 it
+# already added about 1 MB to the peak memory of explaining 210 rows of a
+# 40-tree model, against 0.1-0.2 MB at 1 << 16.  The runs' sums are kept
+# feature-major for up to _BLOCK (row, class, feature) cells at a time, and
+# each such block is copied into phi.
 
-_BLOCK = 1 << 20  # at most this many (row, leaf, feature or split) cells per pass
+_RUN = 1 << 16  # at most this many (row, leaf, width) cells in a pass over several trees
+_BLOCK = 1 << 20  # at most this many in a pass over one tree
 
 
 def _distinct_cells(follow):
@@ -73,8 +90,9 @@ def _distinct_cells(follow):
     return cell, rep
 
 
-def _tree_phi(paths, flat, X):
-    """One tree's attributions of every row of X, shape (rows, C, used features)."""
+def _run_phi(paths, flat, X):
+    """The summed attributions of a run of trees for every row of X,
+    feature-major: shape (used features, rows, C)."""
     n, (n_leaves, depth), l = len(X), paths.splits.shape, paths.zero.shape[1] - 1
     follow = (X[:, flat.feature[paths.splits]] <= flat.threshold[paths.splits]) == paths.went_left
     inverse, rep = _distinct_cells(follow)
@@ -105,15 +123,38 @@ def _tree_phi(paths, flat, X):
     scaled = np.zeros((len(rep), len(paths.used) + 1))
     scaled[cell[:, None], paths.slots[leaf, 1:]] = unwound * (o - z)
     scaled = scaled[inverse].reshape(n, n_leaves, len(paths.used) + 1)
-    return np.matmul(flat.value[paths.leaves].T, scaled)[..., :-1]
+    return np.matmul(flat.value[paths.leaves].T, scaled)[..., :-1].transpose(2, 0, 1)
+
+
+def _runs(flat, n_rows):
+    """[(first, stop, rows per pass)]: the runs of trees for `n_rows` rows."""
+    leaves, splits_on = flat.tree_shapes
+    runs, first = [], 0
+    while first < len(leaves):
+        width = np.maximum(np.logical_or.accumulate(splits_on[first:]).sum(axis=1) + 1,
+                           np.maximum.accumulate(flat.depth[first:]))
+        per_row = np.cumsum(leaves[first:]) * width  # nondecreasing with the run's length
+        length = max(1, int(np.count_nonzero(n_rows * per_row <= _RUN)))
+        runs.append((first, first + length, max(1, _BLOCK // int(per_row[length - 1]))))
+        first += length
+    return runs
+
+
+def _parts(n, most):
+    """range(n) as the fewest slices of at most `most` rows, all of one
+    length but the last."""
+    count = max(1, -(-n // max(1, most)))
+    step = max(1, -(-n // count))
+    return [slice(at, at + step) for at in range(0, n, step)]
 
 
 def tree_shap(model, X):
     """Exact attribution of predict_proba across the features.
 
-    `X` is one row or a matrix of rows; each tree is one pass over all of
-    them.  phi has shape (n_classes, n_features) for one row and
-    (n_rows, n_classes, n_features) for a matrix.
+    `X` is one row or a matrix of rows; each run of trees is one pass over
+    all of them, or over blocks of them for a large tree or batch.  phi has
+    shape (n_classes, n_features) for one row and (n_rows, n_classes,
+    n_features) for a matrix.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim not in (1, 2) or X.shape[-1] != model.n_features:
@@ -122,15 +163,18 @@ def tree_shap(model, X):
         raise LmaError("non-finite input to tree_shap")
     flat = model.flat
     rows = np.atleast_2d(X)
-    # summed feature-major, so that each tree's used features are whole rows
-    total = np.zeros((model.n_features, len(rows), model.n_classes))
-    for paths in flat.paths:
-        width = max(paths.zero.shape[1], len(paths.used) + 1, paths.splits.shape[1])
-        step = max(1, _BLOCK // (len(paths.leaves) * width))
-        for start in range(0, len(rows), step):
-            block = slice(start, start + step)
-            total[paths.used, block] += _tree_phi(paths, flat, rows[block]).transpose(2, 0, 1)
-    phi = np.ascontiguousarray(total.transpose(1, 2, 0))
+    runs = [(flat.leaf_paths(first, stop), step) for first, stop, step in _runs(flat, len(rows))]
+    phi = np.empty((0, model.n_classes, model.n_features))
+    for block in _parts(len(rows), _BLOCK // (model.n_classes * model.n_features)):
+        block_rows = rows[block]
+        # summed feature-major, so that a run's used features are whole rows
+        total = np.zeros((model.n_features, len(block_rows), model.n_classes))
+        for paths, step in runs:
+            for part in _parts(len(block_rows), step):
+                total[paths.used, part] += _run_phi(paths, flat, block_rows[part])
+        if not len(phi):  # only now, so that the first block's passes need no room beside it
+            phi = np.empty((len(rows), model.n_classes, model.n_features))
+        phi[block] = total.transpose(1, 2, 0)
     phi /= len(flat.roots)
     return ShapExplanation(
         phi=phi if X.ndim == 2 else phi[0],
@@ -222,11 +266,12 @@ def summary_rank(explanation):
     return [(int(i), names[i], float(mean_abs[i])) for i in order]
 
 
-def _csv_cells(*fields):
-    """`fields` as csv.writer puts them on a line, without the line end."""
+def _csv_cell(field):
+    """`field` as csv.writer puts it on a line beside other fields; a line of
+    one empty field alone would be quoted."""
     buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow(fields)
-    return buf.getvalue()[:-1]
+    csv.writer(buf, lineterminator="\n").writerow((field, ""))
+    return buf.getvalue()[:-2]
 
 
 def write_explanations_csv(explanation, path):
@@ -236,11 +281,10 @@ def write_explanations_csv(explanation, path):
     and the base values in place; each instance is one `template % args`.
     """
     phi = _stacked(explanation)
-    template = "".join(
-        f"%s,{_csv_cells(c, f).replace('%', '%%')},%.9g,{b:.9g}\n"
-        for c, b in zip(explanation.class_names, explanation.base.tolist())
-        for f in explanation.feature_names
-    )
+    classes, features = ([_csv_cell(name).replace("%", "%%") for name in names]
+                         for names in (explanation.class_names, explanation.feature_names))
+    template = "".join(f"%s,{c},{f},%.9g,{b:.9g}\n"
+                       for c, b in zip(classes, explanation.base.tolist()) for f in features)
     args = [None] * (2 * phi[0].size)
     with open_output(path) as fh:
         fh.write("instance,class,feature,phi,base\n")

@@ -245,18 +245,20 @@ def _is_real(v):
 
 @dataclass(frozen=True)
 class LeafPaths:
-    """One tree's root-to-leaf paths, one row per leaf: the per-leaf tables
-    of path-dependent TreeSHAP, which depend on the model only.
+    """The root-to-leaf paths of a run of consecutive trees, one row per
+    leaf: the per-leaf tables of path-dependent TreeSHAP, which depend on the
+    model only.
 
-    ``splits[k]`` lists leaf k's ancestors from the root down, right-aligned
+    ``splits[k]`` lists leaf k's ancestors from its root down, right-aligned
     and padded on the left with the leaf itself, which every row passes;
     ``went_left`` says which way the path leaves each of them.  A path's
     distinct split features are its elements.  They fill the last columns of
     ``slots`` and ``zero``, ordered by each feature's last split on the path;
     the columns before them are dummies that no split touches.  ``slots``
-    indexes ``used``, the tree's split features (``len(used)`` stands for no
-    feature); ``zero`` is the product of the element's cover fractions along
-    the path (1 for a dummy); ``element_of`` maps split columns to elements.
+    indexes ``used``, the split features of all the run's trees (``len(used)``
+    stands for no feature); ``zero`` is the product of the element's cover
+    fractions along the path (1 for a dummy); ``element_of`` maps split
+    columns to elements.
     """
 
     leaves: np.ndarray  # (L,)
@@ -279,7 +281,8 @@ class FlatForest:
     distributions (zero rows at splits).  ``roots`` and ``depth`` give each
     tree's root node and depth, and ``base`` is the forest's expected output,
     the cover-weighted mean leaf value averaged over trees (the SHAP base).
-    ``paths`` adds each tree's `LeafPaths` when TreeSHAP first asks.
+    ``tree_shapes`` and ``leaf_paths`` give TreeSHAP each tree's size and
+    the `LeafPaths` of a run of trees, each built on first use and kept.
     """
 
     feature: np.ndarray
@@ -385,18 +388,32 @@ class FlatForest:
         )
 
     @cached_property
-    def paths(self):
-        """`LeafPaths` of every tree, built on first use."""
-        parent = np.full(len(self.feature), -1)
-        split = np.flatnonzero(self.feature >= 0)
+    def tree_shapes(self):
+        """(leaves, splits_on): every tree's leaf count and a (trees,
+        features) mask of the features it splits on."""
+        tree = np.repeat(np.arange(len(self.roots)), np.diff(self.roots, append=len(self.feature)))
+        splits_on = np.zeros((len(self.roots), self.feature.max() + 2), dtype=bool)
+        splits_on[tree, self.feature] = True  # a leaf's -1 marks the last column
+        return np.add.reduceat(self.feature < 0, self.roots), splits_on[:, :-1]
+
+    def leaf_paths(self, first, stop):
+        """`LeafPaths` of trees first .. stop - 1, built on first use and kept."""
+        runs = self._leaf_path_runs
+        if (first, stop) not in runs:
+            hi = self.roots[stop] if stop < len(self.roots) else len(self.feature)
+            runs[first, stop] = self._leaf_paths(self.roots[first], hi, self.depth[first:stop].max())
+        return runs[first, stop]
+
+    @cached_property
+    def _leaf_path_runs(self):
+        return {}
+
+    def _leaf_paths(self, lo, hi, depth):
+        feature, cover = self.feature, self.cover
+        parent = np.full(len(feature), -1)
+        split = np.flatnonzero(feature >= 0)
         parent[self.left[split]] = split
         parent[self.right[split]] = split
-        ends = np.append(self.roots[1:], len(self.feature))
-        return tuple(self._leaf_paths(lo, hi, depth, parent)
-                     for lo, hi, depth in zip(self.roots, ends, self.depth))
-
-    def _leaf_paths(self, lo, hi, depth, parent):
-        feature, cover = self.feature, self.cover
         in_tree = feature[lo:hi]
         used = np.unique(in_tree[in_tree >= 0])
         leaves = lo + np.flatnonzero(in_tree < 0)

@@ -246,12 +246,13 @@ def row_batched_tree_phi(paths, flat, X):
 
 
 def row_batched_tree_shap(model, X, rows_per_pass=64):
-    """phi (rows, C, F) of `tree_shap`, from `row_batched_tree_phi`, the trees
-    added in the same order."""
+    """phi (rows, C, F) from `row_batched_tree_phi`, one tree per pass and
+    the trees added in order: `tree_shap` before runs of trees."""
     flat = model.flat
     X = np.atleast_2d(np.asarray(X, dtype=float))
     phi = np.zeros((len(X), model.n_classes, model.n_features))
-    for paths in flat.paths:
+    for t in range(len(flat.roots)):
+        paths = flat.leaf_paths(t, t + 1)
         for start in range(0, len(X), rows_per_pass):
             block = slice(start, start + rows_per_pass)
             phi[block][..., paths.used] += row_batched_tree_phi(paths, flat, X[block])

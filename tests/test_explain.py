@@ -13,7 +13,9 @@ from forest_reference import (
 from lmakit.errors import LmaError
 from lmakit.explain import (
     _BLOCK,
+    _RUN,
     ShapExplanation,
+    _runs,
     brute_shap,
     summary_rank,
     tree_shap,
@@ -253,7 +255,7 @@ def test_batched_matches_per_row_recursion_and_oracle(seed, n_trees, n_features,
     model, X = random_forest(seed, n_trees, n_features, n_classes, depth)
     exp = tree_shap(model, X)
     assert exp.phi.shape == (len(X), n_classes, n_features)
-    assert np.array_equal(exp.phi, row_batched_tree_shap(model, X))
+    np.testing.assert_allclose(exp.phi, row_batched_tree_shap(model, X), rtol=0, atol=1e-15)
     for row, phi in zip(X, exp.phi):
         ref_phi, ref_base = per_row_tree_shap(model, row)
         np.testing.assert_allclose(phi, ref_phi, rtol=0, atol=1e-15)
@@ -262,9 +264,9 @@ def test_batched_matches_per_row_recursion_and_oracle(seed, n_trees, n_features,
     np.testing.assert_allclose(exp.prediction(), predict_proba(model, X), rtol=0, atol=1e-12)
 
 
-def _chain_tree(rng, n_splits):
-    """A chain of splits alternating between f0 and f1: each split has a leaf
-    on a random side and the rest of the chain on the other."""
+def _chain_tree(rng, n_splits, features=(0, 1)):
+    """A chain of splits alternating between two features: each split has a
+    leaf on a random side and the rest of the chain on the other."""
 
     def leaf():
         cover = int(rng.integers(1, 6))
@@ -274,7 +276,7 @@ def _chain_tree(rng, n_splits):
     for k in range(n_splits):
         side = leaf()
         left, right = (side, node) if rng.random() < 0.5 else (node, side)
-        node = {"feature": k % 2, "threshold": float(rng.uniform(-1.0, 1.0)),
+        node = {"feature": features[k % 2], "threshold": float(rng.uniform(-1.0, 1.0)),
                 "cover": left["cover"] + right["cover"], "left": left, "right": right}
     return node
 
@@ -285,7 +287,7 @@ def test_deep_chain_matches_row_batched_reference_and_oracle():
     rng = np.random.default_rng(11)
     model = _hand_model([_chain_tree(rng, 70)])
     X = rng.uniform(-1.0, 1.0, size=(300, 2))
-    paths = model.flat.paths[0]
+    paths = model.flat.leaf_paths(0, 1)
     assert paths.splits.shape[1] == 70
     assert len(X) * len(paths.leaves) * paths.splits.shape[1] > _BLOCK
     exp = tree_shap(model, X)
@@ -300,6 +302,64 @@ def test_batch_rows_equal_single_rows():
     exp = tree_shap(model, data.X[:20])
     for row, phi in zip(data.X[:20], exp.phi):
         np.testing.assert_array_equal(tree_shap(model, row).phi, phi)
+
+
+def _full_tree(rng, features, depth):
+    """A full tree of `depth` levels, each split on a random one of `features`."""
+    if depth == 0:
+        cover = int(rng.integers(1, 6))
+        return {"counts": rng.multinomial(cover, [0.5, 0.5]).tolist(), "cover": cover}
+    left, right = (_full_tree(rng, features, depth - 1) for _ in range(2))
+    return {"feature": int(rng.choice(features)), "threshold": float(rng.uniform(-1.0, 1.0)),
+            "cover": left["cover"] + right["cover"], "left": left, "right": right}
+
+
+def test_run_of_disjoint_trees_matches_recursion_and_oracle():
+    # four trees on features {0, 1}, {2, 3}, {4, 5}, {6, 7}: a run of them
+    # holds all eight, wider than any one tree; features 8 and 9 are unused
+    rng = np.random.default_rng(5)
+    model = _hand_model([_full_tree(rng, (2 * t, 2 * t + 1), 3) for t in range(4)], n_features=10)
+    X = rng.uniform(-1.0, 1.0, size=(6, 10))
+    assert [run[:2] for run in _runs(model.flat, len(X))] == [(0, 4)]
+    # 32 leaves, each row 9 cells wide (8 features + 1): the run is sized by the union
+    assert len(_runs(model.flat, _RUN // (32 * 9))) == 1
+    assert len(_runs(model.flat, _RUN // (32 * 9) + 1)) == 2
+    assert len(model.flat.leaf_paths(0, 4).used) == 8
+    assert max(len(model.flat.leaf_paths(t, t + 1).used) for t in range(4)) == 2
+    exp = tree_shap(model, X)
+    assert np.all(exp.phi[..., 8:] == 0.0)
+    for x, phi in zip(X, exp.phi):
+        np.testing.assert_allclose(phi, per_row_tree_shap(model, x)[0], rtol=0, atol=1e-15)
+        np.testing.assert_allclose(phi, brute_shap(model, x), rtol=0, atol=1e-9)
+    np.testing.assert_allclose(exp.prediction(), predict_proba(model, X), rtol=0, atol=1e-12)
+
+
+def test_one_row_makes_one_run():
+    model, data = _small_forest(seed=1, n_trees=20, max_depth=6)
+    assert [run[:2] for run in _runs(model.flat, 1)] == [(0, 20)]
+    exp = tree_shap(model, data.X[0])
+    np.testing.assert_allclose(exp.prediction(), predict_proba(model, data.X[0])[0], rtol=0, atol=1e-12)
+
+
+def test_large_batch_runs_one_tree_per_pass_in_row_blocks():
+    # three 70-split chains on disjoint feature pairs: 600 rows of one chain
+    # exceed _RUN, and more than one _BLOCK, so each tree is its own run and
+    # takes several passes; that is the row-batched reference's schedule
+    rng = np.random.default_rng(12)
+    model = _hand_model([_chain_tree(rng, 70, (2 * t, 2 * t + 1)) for t in range(3)], n_features=7)
+    X = rng.uniform(-1.0, 1.0, size=(600, 7))
+    runs = _runs(model.flat, len(X))
+    assert [run[:2] for run in runs] == [(0, 1), (1, 2), (2, 3)]
+    assert all(len(X) * 71 * 70 > max(_RUN, _BLOCK) and step < len(X) / 2 for _, _, step in runs)
+    exp = tree_shap(model, X)
+    assert np.array_equal(exp.phi, row_batched_tree_shap(model, X))
+    assert np.all(exp.phi[..., 6] == 0.0)
+    for x, phi in zip(X[:20], exp.phi):
+        np.testing.assert_allclose(phi, per_row_tree_shap(model, x)[0], rtol=0, atol=1e-15)
+    # one row alone takes all three chains in one run
+    assert [run[:2] for run in _runs(model.flat, 1)] == [(0, 3)]
+    np.testing.assert_allclose(tree_shap(model, X[0]).phi, exp.phi[0], rtol=0, atol=1e-15)
+    np.testing.assert_allclose(exp.prediction(), predict_proba(model, X), rtol=0, atol=1e-12)
 
 
 def test_batched_explanation_csv_matches_per_row_writer(tmp_path):
@@ -324,6 +384,18 @@ def test_csv_quotes_names_like_csv_writer(tmp_path):
         '0,5% of %s,f 0,1.5,0.875\n'
         '0,5% of %s,"f\n1",2,0.875\n'
     )
+
+
+def test_csv_quotes_each_name_like_the_per_row_writer(tmp_path):
+    classes, features = ("", 'a,"b"', "5% of %s", "c\rd"), ("", "f 0", "f\n1", '"')
+    rng = np.random.default_rng(3)
+    rows = [ShapExplanation(phi=rng.normal(size=(4, 4)), base=np.full(4, 0.25), x=np.zeros(4),
+                            class_names=classes, feature_names=features) for _ in range(2)]
+    batched = ShapExplanation(phi=np.stack([r.phi for r in rows]), base=rows[0].base,
+                              x=np.zeros((2, 4)), class_names=classes, feature_names=features)
+    write_explanations_csv(batched, tmp_path / "batched.csv")
+    write_explanations_csv_per_row(rows, tmp_path / "rows.csv")
+    assert (tmp_path / "batched.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
 
 def test_empty_leaf_attributes_finitely():
