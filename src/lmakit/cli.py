@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 internal error.
 
 import argparse
 import configparser
+import functools
 import hashlib
 import math
 import os
@@ -27,7 +28,8 @@ from . import features
 from .charts import svg_line_chart
 from .errors import GapError, LmaError
 from .explain import (
-    summary_rank,
+    mean_abs_phi,
+    rank_features,
     tree_shap,
     write_explanations_csv,
     write_summary_csv,
@@ -458,13 +460,13 @@ def cmd_explain(args, file_cfg, out):
     X = _read_rows(args.features, labelled=False).X
     explanation = tree_shap(model, X)
     write_explanations_csv(explanation, out / "explanations.csv")
-    ranking = summary_rank(explanation)
+    by_class, overall = mean_abs_phi(explanation)
+    ranking = rank_features(FEATURE_NAMES, overall)
     write_summary_csv(ranking[: args.top_k], out / "summary.csv")
     per_class = []
-    for cname, mean_abs in zip(model.class_names, np.abs(explanation.phi).mean(axis=0)):
-        order = np.lexsort((np.arange(len(FEATURE_NAMES)), -mean_abs))[: args.top_k]
-        per_class += [[cname, FEATURE_NAMES[f], f"{mean_abs[f]:.9g}", rank]
-                      for rank, f in enumerate(order, start=1)]
+    for cname, mean_abs in zip(model.class_names, by_class):
+        per_class += [[cname, name, f"{value:.9g}", rank] for rank, (_, name, value)
+                      in enumerate(rank_features(FEATURE_NAMES, mean_abs)[: args.top_k], start=1)]
     write_csv(out / "summary_per_class.csv", ["class", "feature", "mean_abs_phi", "rank"], per_class)
     _echo(f"top {args.top_k} features:")
     for _, name, value in ranking[: args.top_k]:
@@ -496,6 +498,7 @@ def cmd_kinplot(args, file_cfg, out):
     return {"config": {"w": w}, "inputs": [args.sequence]}
 
 
+@functools.cache  # one parser per process: building it costs more than a parse
 def _build_parser():
     parser = _Parser(prog="lmakit", description=__doc__)
     parser.add_argument("--seed", type=int, default=0)

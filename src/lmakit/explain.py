@@ -258,12 +258,23 @@ def _stacked(explanation):
     return phi
 
 
-def summary_rank(explanation):
-    """Features ranked by mean |phi| across instances and classes."""
-    names = explanation.feature_names
-    mean_abs = np.abs(_stacked(explanation)).mean(axis=(0, 1))
+def mean_abs_phi(explanation):
+    """Mean |phi| over instances per (class, feature), and over instances
+    and classes per feature, both from one |phi|."""
+    abs_phi = np.abs(_stacked(explanation))
+    return abs_phi.mean(axis=0), abs_phi.mean(axis=(0, 1))
+
+
+def rank_features(names, mean_abs):
+    """(index, name, value) of every feature by decreasing `mean_abs`, ties
+    to the lower index."""
     order = np.lexsort((np.arange(len(names)), -mean_abs))
     return [(int(i), names[i], float(mean_abs[i])) for i in order]
+
+
+def summary_rank(explanation):
+    """Features ranked by mean |phi| across instances and classes."""
+    return rank_features(explanation.feature_names, mean_abs_phi(explanation)[1])
 
 
 def _csv_cell(field):

@@ -375,11 +375,63 @@ def write_features_csv(table, path):
     )
 
 
+_CSV_HEADER = ",".join(FEATURE_NAMES + CSV_EXTRA_COLUMNS)
+# Characters that send a text to the csv module alone: the quote; the
+# separators \x1c-\x1f, which np.loadtxt strips around a number and float()
+# does not; and NUL, which the csv module of Python 3.10 refuses.
+_CSV_ONLY = '"\x00\x1c\x1d\x1e\x1f'
+
+
 def read_features_csv(path):
-    """Load a feature CSV back into a FeatureTable."""
+    """Load a feature CSV back into a FeatureTable.
+
+    A text without quotes has one row per line, its cells between the
+    commas: `_read_plain` parses all its numbers in one `np.loadtxt` call.
+    Any other text, and any that `_read_plain` cannot parse, goes through
+    `_read_quoted`, the csv module's reader, which also names the line of an
+    error.  Both give the same table from the same text."""
+    text = read_text(path)
+    columns = None if any(c in text for c in _CSV_ONLY) else _read_plain(text)
+    columns = columns or _read_quoted(text, path)
+    try:
+        return FeatureTable(*columns)
+    except LmaError as e:
+        raise SchemaError(f"{path}: {e}") from e
+
+
+def _read_plain(text):
+    """(X, labels, groups, starts) of a feature CSV text with no quote, or
+    None unless it has the canonical header and every other non-empty line
+    is 58 cells: 55 numbers that `np.loadtxt` reads, two texts and an int."""
+    header, *lines = text.split("\n")
+    lines = [line for line in lines if line]
+    if header != _CSV_HEADER or max(map(len, lines), default=0) > csv.field_size_limit():
+        return None  # the csv module refuses a cell over its size limit
+    if not lines:  # np.loadtxt warns on no data
+        return np.empty((0, len(FEATURE_NAMES))), (), (), ()
+    # 57 commas a line on average, so np.loadtxt never gets only empty heads
+    # (on which it warns)
+    if text.count(",") != 57 * (1 + len(lines)):
+        return None
+    try:
+        heads, labels, groups, starts = zip(*(line.rsplit(",", 3) for line in lines))
+        X = np.loadtxt(heads, delimiter=",", comments=None, ndmin=2)
+        starts = [int(s) for s in starts]
+    except ValueError:  # a cell that only float() or nothing reads, or a short row
+        return None
+    # n rows of 55 numbers and the comma count make 58 cells on every line
+    # (np.loadtxt skips an empty head, so the row count is checked too)
+    if X.shape != (len(lines), len(FEATURE_NAMES)):
+        return None
+    return X, [label or None for label in labels], groups, starts
+
+
+def _read_quoted(text, path):
+    """(X, labels, groups, starts) of any feature CSV text, read by the csv
+    module; a malformed row raises SchemaError naming `path` and its line."""
     # lines with their '\n' ends, as a text file yields them: csv needs the
     # ends inside quoted cells (io.StringIO would hold 4 bytes per character)
-    reader = csv.reader(re.findall(r"[^\n]*\n|[^\n]+", read_text(path)))
+    reader = csv.reader(re.findall(r"[^\n]*\n|[^\n]+", text))
     expected = list(FEATURE_NAMES) + list(CSV_EXTRA_COLUMNS)
     X, labels, groups, starts = [], [], [], []
     try:
@@ -401,7 +453,4 @@ def read_features_csv(path):
             groups.append(row[56])
     except csv.Error as e:  # such as a cell over the csv module's field size limit
         raise SchemaError(f"{path}:{reader.line_num}: malformed feature CSV: {e}") from e
-    try:
-        return FeatureTable(np.reshape(X, (-1, len(FEATURE_NAMES))), labels, groups, starts)
-    except LmaError as e:
-        raise SchemaError(f"{path}: {e}") from e
+    return np.reshape(X, (-1, len(FEATURE_NAMES))), labels, groups, starts

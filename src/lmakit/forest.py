@@ -15,12 +15,13 @@ nested-dict tree as it is grown.  Every fold accuracy and prediction equals
 that of a separate fit of the point.
 """
 
+import bisect
 import copy
 import json
 import math
 from dataclasses import asdict, dataclass, fields, replace
 from functools import cached_property
-from itertools import product
+from itertools import chain, compress, product
 from numbers import Integral, Real
 
 import numpy as np
@@ -243,6 +244,47 @@ def _is_real(v):
     return isinstance(v, Real) and not isinstance(v, bool)
 
 
+def _all(values, types, check):
+    """Whether `check` holds for every value; at C speed when every value's
+    type is in `types`, all of whose values pass `check`."""
+    return set(map(type, values)) <= types or all(map(check, values))
+
+
+def _first_malformed(nodes, roots, n_features, n_classes):
+    """SchemaError naming the first of `nodes` (trees starting at `roots`)
+    that fails a node check, one node at a time in walk order."""
+    seen = set()
+    for i, node in enumerate(nodes):
+        message = _node_fault(node, seen, n_features, n_classes)
+        if message:
+            t = bisect.bisect_right(roots, i) - 1
+            return SchemaError(f"tree {t} node {i - roots[t]}: {message}")
+    raise AssertionError("no malformed node")
+
+
+def _node_fault(node, seen, n_features, n_classes):
+    """What is wrong with one node of a walk that has passed the `seen` nodes, or None."""
+    if not isinstance(node, dict):
+        return f"expected a node object, got {type(node).__name__}"
+    if id(node) in seen:
+        return "node object reached twice; children must form a tree"
+    seen.add(id(node))
+    c = node.get("cover")
+    if not _is_int(c) or c < (1 if "feature" in node else 0):
+        return f"cover must be a non-negative integer, positive at a split, got {c!r}"
+    if "feature" in node:
+        f, thr = node["feature"], node.get("threshold")
+        if not _is_int(f) or not 0 <= f < n_features:
+            return f"feature index {f!r} outside 0..{n_features - 1}"
+        if not _is_real(thr) or not math.isfinite(thr):
+            return f"threshold must be a finite number, got {thr!r}"
+    else:
+        k = node.get("counts")
+        if not (isinstance(k, list) and len(k) == n_classes and all(map(_is_int, k))):
+            return f"a leaf needs {n_classes} integer class counts, got {k!r}"
+    return None
+
+
 @dataclass(frozen=True)
 class LeafPaths:
     """The root-to-leaf paths of a run of consecutive trees, one row per
@@ -297,66 +339,66 @@ class FlatForest:
 
     @staticmethod
     def from_trees(trees, n_features, n_classes):
-        """Flatten nested-dict trees, raising SchemaError on any malformed node."""
+        """Flatten nested-dict trees, raising SchemaError on any malformed node.
+
+        One preorder walk collects the nodes, their levels and the right
+        children's parents; the node checks then run over whole lists and
+        arrays.  Only when one fails does `_first_malformed` go through the
+        nodes one by one to name the first bad node."""
         if not trees:
             raise SchemaError("model has no trees")
-        feature, threshold, left, right, cover, counts, level = ([] for _ in range(7))
-        roots, seen = [], set()
-        no_counts = [0] * n_classes
-
-        def malformed(message):
-            return SchemaError(f"tree {t} node {i - roots[-1]}: {message}")
-
-        for t, tree in enumerate(trees):
-            roots.append(len(feature))
-            stack = [(tree, None, 0)]  # node, (child list, parent index) to link, level
+        nodes, level, right_of, roots, seen = [], [], [], [], set()
+        for tree in trees:
+            roots.append(len(nodes))
+            stack = [(tree, -1, 0)]  # node, its parent if a right child, level
             while stack:
-                node, link, depth = stack.pop()
-                i = len(feature)
-                if link is not None:
-                    link[0][link[1]] = i
-                if not isinstance(node, dict):
-                    raise malformed(f"expected a node object, got {type(node).__name__}")
-                if id(node) in seen:
-                    raise malformed("node object reached twice; children must form a tree")
-                seen.add(id(node))
-                c = node.get("cover")
-                # a split's threshold can round onto its upper value and leave
-                # an empty child, so a leaf may cover nothing
-                if not _is_int(c) or c < (1 if "feature" in node else 0):
-                    raise malformed(f"cover must be a non-negative integer, positive at a "
-                                    f"split, got {c!r}")
-                cover.append(c)
+                node, parent, depth = stack.pop()
+                i = len(nodes)
+                nodes.append(node)
+                right_of.append(parent)
                 level.append(depth)
-                if "feature" in node:
-                    f, thr = node["feature"], node.get("threshold")
-                    if not _is_int(f) or not 0 <= f < n_features:
-                        raise malformed(f"feature index {f!r} outside 0..{n_features - 1}")
-                    if not _is_real(thr) or not math.isfinite(thr):
-                        raise malformed(f"threshold must be a finite number, got {thr!r}")
-                    feature.append(f)
-                    threshold.append(thr)
-                    left.append(-1)
-                    right.append(-1)
-                    counts.append(no_counts)
-                    stack.append((node.get("right"), (right, i), depth + 1))
-                    stack.append((node.get("left"), (left, i), depth + 1))
-                else:
-                    k = node.get("counts")
-                    if not (isinstance(k, list) and len(k) == n_classes
-                            and (set(map(type, k)) <= {int} or all(map(_is_int, k)))):
-                        raise malformed(f"a leaf needs {n_classes} integer class counts, got {k!r}")
-                    feature.append(-1)
-                    threshold.append(math.inf)
-                    left.append(i)
-                    right.append(i)
-                    counts.append(k)
+                if isinstance(node, dict):
+                    if id(node) in seen:  # the walk must not follow a cycle
+                        raise _first_malformed(nodes, roots, n_features, n_classes)
+                    seen.add(id(node))
+                    if "feature" in node:
+                        stack.append((node.get("right"), i, depth + 1))
+                        stack.append((node.get("left"), -1, depth + 1))
 
-        feature, left, right = np.array(feature), np.array(left), np.array(right)
-        cover, counts = np.array(cover, dtype=float), np.array(counts, dtype=float)
+        if not _all(nodes, {dict}, lambda node: isinstance(node, dict)):
+            raise _first_malformed(nodes, roots, n_features, n_classes)
+        split = np.array(["feature" in node for node in nodes])
+        covers = [node.get("cover") for node in nodes]
+        splits, leaves = list(compress(nodes, split)), list(compress(nodes, ~split))
+        features = [node["feature"] for node in splits]
+        thresholds = [node.get("threshold") for node in splits]
+        leaf_counts = [node.get("counts") for node in leaves]
+        widths_ok = (_all(leaf_counts, {list}, lambda k: isinstance(k, list))
+                     and set(map(len, leaf_counts)) <= {n_classes})
+        all_counts = list(chain.from_iterable(leaf_counts)) if widths_ok else []
+        if not (widths_ok and _all(all_counts, {int}, _is_int) and _all(covers, {int}, _is_int)
+                and _all(features, {int}, _is_int)
+                and 0 <= min(features, default=0) and max(features, default=0) < n_features
+                and _all(thresholds, {float, int}, _is_real)):
+            raise _first_malformed(nodes, roots, n_features, n_classes)
+        index = np.arange(len(nodes))
+        feature = np.full(len(nodes), -1)
+        feature[split] = features
+        threshold = np.full(len(nodes), math.inf)
+        threshold[split] = thresholds
+        cover = np.array(covers, dtype=float)
+        # a split's threshold can round onto its upper value and leave an
+        # empty child, so a leaf may cover nothing
+        if not ((cover >= split).all() and np.isfinite(threshold[split]).all()):
+            raise _first_malformed(nodes, roots, n_features, n_classes)
+
+        left, right = np.where(split, index + 1, index), index.copy()  # preorder: left follows
+        right_of = np.array(right_of)
+        right[right_of[right_of >= 0]] = index[right_of >= 0]
+        counts = np.zeros((len(nodes), n_classes))
+        counts[~split] = np.reshape(np.array(all_counts, dtype=float), (-1, n_classes))
         level = np.array(level)
         roots = np.array(roots)
-        split = feature >= 0
         negative = (counts < 0).any(axis=1)
         unbalanced = np.where(split, cover[left] + cover[right], counts.sum(axis=1)) != cover
         for i in np.flatnonzero(negative | unbalanced)[:1]:
@@ -371,12 +413,12 @@ class FlatForest:
         # Cover-weighted expected value of every subtree, deepest level first.
         expected = value.copy()
         for d in range(level.max() - 1, -1, -1):
-            nodes = np.flatnonzero(split & (level == d))
-            cl, cr = cover[left[nodes], None], cover[right[nodes], None]
-            expected[nodes] = (cl * expected[left[nodes]] + cr * expected[right[nodes]]) / (cl + cr)
+            at = np.flatnonzero(split & (level == d))
+            cl, cr = cover[left[at], None], cover[right[at], None]
+            expected[at] = (cl * expected[left[at]] + cr * expected[right[at]]) / (cl + cr)
         return FlatForest(
             feature=feature,
-            threshold=np.array(threshold, dtype=float),
+            threshold=threshold,
             left=left,
             right=right,
             cover=cover,

@@ -5,15 +5,17 @@ path-dependent TreeSHAP recursion (Lundberg et al. 2020, Algorithm 2) that
 the row-batched `tree_shap` replaced (the last two read the model's
 nested-dict trees, one row at a time); the row-batched TreeSHAP pass over
 every (row, leaf) cell that the pass over distinct (leaf, followed splits)
-cells replaced; and the per-group and per-class loops that the whole-array
-fold assignment, group vote and metrics replaced."""
+cells replaced; the checked per-node flattening that `FlatForest.from_trees`
+(one walk, then whole-list checks) replaced; and the per-group and per-class
+loops that the whole-array fold assignment, group vote and metrics replaced."""
 
 import csv
+import math
 
 import numpy as np
 
-from lmakit.errors import LmaError
-from lmakit.forest import ForestModel, ForestParams
+from lmakit.errors import LmaError, SchemaError
+from lmakit.forest import FlatForest, ForestModel, ForestParams, _is_int, _is_real
 
 
 def gini_candidates(values, codes, n_classes, min_leaf):
@@ -122,6 +124,99 @@ def dict_predict_proba(model, X):
                 node = node["left"] if x[node["feature"]] <= node["threshold"] else node["right"]
             out[i] += leaf_distribution(node)
     return out / len(model.trees)
+
+
+def flat_from_trees(trees, n_features, n_classes):
+    """`FlatForest.from_trees` as one checked walk: every check runs at its
+    node as the walk reaches it, and the first that fails raises."""
+    if not trees:
+        raise SchemaError("model has no trees")
+    feature, threshold, left, right, cover, counts, level = ([] for _ in range(7))
+    roots, seen = [], set()
+    no_counts = [0] * n_classes
+
+    def malformed(message):
+        return SchemaError(f"tree {t} node {i - roots[-1]}: {message}")
+
+    for t, tree in enumerate(trees):
+        roots.append(len(feature))
+        stack = [(tree, None, 0)]  # node, (child list, parent index) to link, level
+        while stack:
+            node, link, depth = stack.pop()
+            i = len(feature)
+            if link is not None:
+                link[0][link[1]] = i
+            if not isinstance(node, dict):
+                raise malformed(f"expected a node object, got {type(node).__name__}")
+            if id(node) in seen:
+                raise malformed("node object reached twice; children must form a tree")
+            seen.add(id(node))
+            c = node.get("cover")
+            # a split's threshold can round onto its upper value and leave
+            # an empty child, so a leaf may cover nothing
+            if not _is_int(c) or c < (1 if "feature" in node else 0):
+                raise malformed(f"cover must be a non-negative integer, positive at a "
+                                f"split, got {c!r}")
+            cover.append(c)
+            level.append(depth)
+            if "feature" in node:
+                f, thr = node["feature"], node.get("threshold")
+                if not _is_int(f) or not 0 <= f < n_features:
+                    raise malformed(f"feature index {f!r} outside 0..{n_features - 1}")
+                if not _is_real(thr) or not math.isfinite(thr):
+                    raise malformed(f"threshold must be a finite number, got {thr!r}")
+                feature.append(f)
+                threshold.append(thr)
+                left.append(-1)
+                right.append(-1)
+                counts.append(no_counts)
+                stack.append((node.get("right"), (right, i), depth + 1))
+                stack.append((node.get("left"), (left, i), depth + 1))
+            else:
+                k = node.get("counts")
+                if not (isinstance(k, list) and len(k) == n_classes
+                        and (set(map(type, k)) <= {int} or all(map(_is_int, k)))):
+                    raise malformed(f"a leaf needs {n_classes} integer class counts, got {k!r}")
+                feature.append(-1)
+                threshold.append(math.inf)
+                left.append(i)
+                right.append(i)
+                counts.append(k)
+
+    feature, left, right = np.array(feature), np.array(left), np.array(right)
+    cover, counts = np.array(cover, dtype=float), np.array(counts, dtype=float)
+    level = np.array(level)
+    roots = np.array(roots)
+    split = feature >= 0
+    negative = (counts < 0).any(axis=1)
+    unbalanced = np.where(split, cover[left] + cover[right], counts.sum(axis=1)) != cover
+    for i in np.flatnonzero(negative | unbalanced)[:1]:
+        t = np.searchsorted(roots, i, side="right") - 1
+        what = ("class counts are negative" if negative[i] else
+                f"{'child covers' if split[i] else 'class counts'} do not add up to its cover")
+        raise SchemaError(f"tree {t} node {i - roots[t]}: {what}")
+
+    value = np.zeros_like(counts)
+    covered = ~split & (cover > 0)
+    value[covered] = counts[covered] / cover[covered, None]
+    # Cover-weighted expected value of every subtree, deepest level first.
+    expected = value.copy()
+    for d in range(level.max() - 1, -1, -1):
+        nodes = np.flatnonzero(split & (level == d))
+        cl, cr = cover[left[nodes], None], cover[right[nodes], None]
+        expected[nodes] = (cl * expected[left[nodes]] + cr * expected[right[nodes]]) / (cl + cr)
+    return FlatForest(
+        feature=feature,
+        threshold=np.array(threshold, dtype=float),
+        left=left,
+        right=right,
+        cover=cover,
+        value=value,
+        roots=roots,
+        depth=np.maximum.reduceat(level, roots),
+        # sequential sum in tree order, then the mean
+        base=np.cumsum(expected[roots], axis=0)[-1] / len(roots),
+    )
 
 
 def _tree_expected_value(node):

@@ -9,9 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from forest_reference import vote_by_group
+from forest_reference import flat_from_trees, vote_by_group
 from lmakit.cli import _build_parser, _vote_by_group, main
+from lmakit.errors import SchemaError
 from lmakit.features import FEATURE_NAMES
+from lmakit.forest import _model_from_payload
 
 
 @pytest.fixture(scope="module")
@@ -388,6 +390,19 @@ def test_malformed_model_exit_2(ws, tmp_path, capsys, command, case):
     assert str(model) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("case", MALFORMED_MODELS)
+def test_malformed_model_message_names_node_as_per_node_walk(ws, tmp_path, capsys, case):
+    payload = json.loads((ws / "model" / "model.json").read_text())
+    MALFORMED_MODELS[case](payload)
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(payload))
+    with pytest.raises(SchemaError) as reference:
+        parsed = _model_from_payload(payload)
+        flat_from_trees(parsed.trees, parsed.n_features, parsed.n_classes)
+    assert main(["--out", str(tmp_path / "o"), "eval", str(model), str(ws / "feats" / "features.csv")]) == 2
+    assert capsys.readouterr().err == f"error: {model}: {reference.value}\n"
+
+
 @pytest.mark.parametrize("command", ["train", "eval", "explain"])
 def test_header_only_feature_csv_exit_2(ws, tmp_path, capsys, command):
     header = (ws / "feats" / "features.csv").read_text().split("\n")[0]
@@ -641,6 +656,26 @@ def test_grid_flags_parse():
     assert (args.n_trees, args.max_depth, args.min_samples_leaf) == (30, 12, 1)
     args = parse(["sweep", "--n-trees", "5", "--max-depth", "none", "--min-samples-leaf", "2", "s.jsonl"])
     assert (args.n_trees, args.max_depth, args.min_samples_leaf) == (5, None, 2)
+
+
+def test_cached_parser_keeps_no_state_between_commands(ws, tmp_path, capsys):
+    # main builds its parser once per process; commands that share it must
+    # not see each other's values, and a refused command leaves it usable
+    assert _build_parser() is _build_parser()
+    lines = (ws / "feats" / "features.csv").read_text().split("\n")
+    two_styles = sorted({line.split(",")[55] for line in lines[1:] if line})[:2]
+    small = tmp_path / "small.csv"
+    small.write_text("\n".join([lines[0]] + [l for l in lines[1:] if l and l.split(",")[55] in two_styles]))
+    assert main(["--out", str(tmp_path / "t"), "train", str(small)]) == 0  # the default grid
+    manifest = json.loads((tmp_path / "t" / "manifest.json").read_text())
+    assert manifest["config"]["grid"]["n_trees"] == ["50", "100", "200"]
+    args = _build_parser().parse_args(["train", "f.csv"])
+    assert (args.n_trees, args.max_depth, args.min_samples_leaf) == ([50, 100, 200], [8, 12, None], [1, 5])
+    eval_argv = ["eval", str(ws / "model" / "model.json"), str(ws / "feats" / "features.csv")]
+    assert main(["--out", str(tmp_path / "e"), *eval_argv, "--vote", "--n-trees", "3"]) == 1
+    assert main(["--out", str(tmp_path / "e"), *eval_argv]) == 0
+    assert json.loads((tmp_path / "e" / "manifest.json").read_text())["config"] == {"vote": False}
+    assert "usage error" in capsys.readouterr().err
 
 
 # --- per-group majority vote ------------------------------------------------------

@@ -1,7 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_sequence, static_pose_positions
+from lmakit import features
 from lmakit.errors import LmaError
 from lmakit.features import (
     FEATURE_NAMES,
@@ -14,6 +19,7 @@ from lmakit.features import (
     _effort_space_ratios,
     _initiation_predicates,
 )
+from lmakit.files import read_text
 from lmakit.floor import FloorPlane, flat_floor
 from lmakit.kinematics import WindowConfig
 from lmakit.skeleton import SkeletonSpec, canonical_skeleton
@@ -582,6 +588,108 @@ def test_csv_schema_mismatch_rejected(tmp_path):
     path.write_text("a,b,c\n1,2,3\n", encoding="utf-8")
     with pytest.raises(SchemaError):
         read_features_csv(path)
+
+
+def _same_table(a, b):
+    assert a.X.tobytes() == b.X.tobytes()  # -0.0 stays -0.0
+    assert a.labels == b.labels and a.groups == b.groups
+    np.testing.assert_array_equal(a.starts, b.starts)
+
+
+def _csv_module_table(path):
+    return FeatureTable(*features._read_quoted(read_text(path), path))
+
+
+# Cells as the writer's %.9g gives them, extremes included.
+CSV_VALUES = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                       st.sampled_from([-0.0, 0.0, 1e-300, 1.5e300, -1.5e300, 5e-324]))
+CSV_TEXTS = st.text(st.sampled_from(list('ab ,"\n\x0c\x1c_-é')), max_size=6)
+
+
+@settings(max_examples=80, deadline=None)
+@given(rows=st.lists(st.tuples(st.lists(CSV_VALUES, min_size=55, max_size=55), CSV_TEXTS, CSV_TEXTS,
+                               st.integers(0, 10**6)), max_size=4),
+       plain_labels=st.booleans())
+def test_csv_paths_read_written_tables_alike(tmp_path_factory, rows, plain_labels):
+    # a table read back equals the written one at the written precision, and
+    # the numpy path (taken when no cell needs quoting) agrees with the csv module
+    if plain_labels:
+        plain = str.maketrans("", "", '",\n\x0c\x1c')
+        rows = [(x, label.translate(plain), group.translate(plain), start)
+                for x, label, group, start in rows]
+    table = FeatureTable(np.reshape([x for x, *_ in rows], (-1, 55)), [r[1] or None for r in rows],
+                         [r[2] for r in rows], [r[3] for r in rows])
+    path = tmp_path_factory.mktemp("csv") / "features.csv"
+    write_features_csv(table, path)
+    back = read_features_csv(path)
+    written = FeatureTable(np.array([[float(f"{v:.9g}") for v in x] for x, *_ in rows]).reshape(-1, 55),
+                           table.labels, table.groups, table.starts)
+    _same_table(back, written)
+    _same_table(back, _csv_module_table(path))
+    text = read_text(path)
+    if not any(c in text for c in features._CSV_ONLY):
+        _same_table(back, FeatureTable(*features._read_plain(text)))
+
+
+@pytest.mark.parametrize("cell, value", [
+    ("1_0", 10.0), (" 1.5", 1.5), ("1.5\t", 1.5), ("\u00a01.5", 1.5), ("\u0661", 1.0),
+    ("+1E0", 1.0), ("-0", -0.0), ("1\x1c", None), ("\x1f2", None), ("0x10", None), ("", None),
+])
+def test_csv_cells_read_as_float_reads_them(tmp_path, cell, value):
+    # the numpy parser and float() differ on some cells; the table follows float()
+    from lmakit.errors import SchemaError
+
+    path = tmp_path / "features.csv"
+    write_features_csv(assemble_features(make_sequence(static_pose_positions(40)), cfg=_cfg()), path)
+    lines = path.read_text(encoding="utf-8").split("\n")
+    lines[2] = cell + lines[2][lines[2].index(","):]
+    path.write_text("\n".join(lines), encoding="utf-8")
+    if value is None:
+        with pytest.raises(SchemaError, match="features.csv:3: non-numeric"):
+            read_features_csv(path)
+        return
+    table = read_features_csv(path)
+    assert table.X[1, 0] == value and np.signbit(table.X[1, 0]) == np.signbit(value)
+    _same_table(table, _csv_module_table(path))
+
+
+def _row(numbers):
+    return ",".join(["1"] * numbers + ["a", "g", "0"])
+
+
+@pytest.mark.parametrize("rows, message", [
+    ([_row(54), _row(56)], ":2: feature CSV row has 57 columns"),  # the comma count adds up
+    ([",a,g,0", _row(109)], ":2: feature CSV row has 4 columns"),  # np.loadtxt skips an empty head
+    ([_row(55), _row(0)], ":3: feature CSV row has 3 columns"),
+    ([",a,g,0", ",a,g,0"], ":2: feature CSV row has 4 columns"),  # np.loadtxt warns on no data
+])
+def test_csv_rows_of_other_widths_name_their_line(tmp_path, rows, message):
+    from lmakit.errors import SchemaError
+
+    path = tmp_path / "features.csv"
+    write_features_csv(FeatureTable.concat([]), path)
+    path.write_text(path.read_text(encoding="utf-8") + "\n".join(rows) + "\n", encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SchemaError, match=message):
+            read_features_csv(path)
+
+
+def test_csv_plain_text_skips_the_csv_module(tmp_path, monkeypatch):
+    def refuse(text, path):
+        raise AssertionError("read by the csv module")
+
+    table = assemble_features(make_sequence(static_pose_positions(40), label="demo"), cfg=_cfg())
+    path = tmp_path / "features.csv"
+    write_features_csv(table, path)
+    path.write_text(path.read_text(encoding="utf-8") + "\n\n", encoding="utf-8")  # blank lines
+    expected = _csv_module_table(path)
+    monkeypatch.setattr(features, "_read_quoted", refuse)
+    _same_table(read_features_csv(path), expected)
+    write_features_csv(FeatureTable.concat([]), path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # np.loadtxt warns on an empty body
+        assert len(read_features_csv(path)) == 0
 
 
 # --- whole-array assembly against a per-window reference ------------------

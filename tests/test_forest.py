@@ -1,4 +1,5 @@
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -17,6 +18,7 @@ from forest_reference import (
 from lmakit.errors import LmaError, SchemaError
 from lmakit.forest import (
     Dataset,
+    FlatForest,
     ForestModel,
     ForestParams,
     _add_leaf_values,
@@ -580,6 +582,117 @@ def test_shared_node_object_rejected():
     model = ForestModel((tree,), ForestParams(n_trees=1), ("f0",), ("a", "b"))
     with pytest.raises(SchemaError, match="twice"):
         predict_proba(model, np.zeros((1, 1)))
+
+
+FLAT_FIELDS = ("feature", "threshold", "left", "right", "cover", "value", "roots", "depth", "base")
+
+
+def _flattened(flatten, trees, n_features, n_classes):
+    """The arrays `flatten` builds from `trees`, or its SchemaError's text."""
+    try:
+        flat = flatten(trees, n_features, n_classes)
+    except SchemaError as e:
+        return str(e)
+    return {name: getattr(flat, name) for name in FLAT_FIELDS}
+
+
+def _assert_same_flattening(trees, n_features, n_classes):
+    got = _flattened(FlatForest.from_trees, trees, n_features, n_classes)
+    want = _flattened(forest_reference.flat_from_trees, trees, n_features, n_classes)
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert not isinstance(got, str), got
+    for name in FLAT_FIELDS:
+        assert got[name].dtype == want[name].dtype, name
+        np.testing.assert_array_equal(got[name], want[name], err_msg=name)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_trees=st.integers(1, 4),
+    n_features=st.integers(1, 4),
+    n_classes=st.integers(1, 3),
+    depth=st.integers(0, 6),
+)
+def test_flattening_equals_per_node_walk(seed, n_trees, n_features, n_classes, depth):
+    model, _ = random_forest(seed, n_trees, n_features, n_classes, depth)
+    _assert_same_flattening(model.trees, n_features, n_classes)
+
+
+def test_trained_flattening_equals_per_node_walk():
+    model = train(_blobs(), ForestParams(n_trees=6, max_depth=None, min_samples_leaf=2, seed=3))
+    _assert_same_flattening(model.trees, model.n_features, model.n_classes)
+
+
+# Edits that make a node malformed, or leave it well formed in an unusual
+# way (an int threshold, a float that holds an integer is still refused).
+NODE_EDITS = (
+    ("cover", -1), ("cover", 0), ("cover", 1.0), ("cover", True), ("cover", "3"), ("cover", None),
+    ("cover", 10**30), ("feature", -1), ("feature", 99), ("feature", True), ("feature", 1.0),
+    ("feature", 10**30), ("threshold", math.nan), ("threshold", math.inf), ("threshold", None),
+    ("threshold", "0.5"), ("threshold", True), ("threshold", 0), ("counts", None), ("counts", (1, 1)),
+    ("counts", [1]), ("counts", [1, 2, 3, 4]), ("counts", [-1, 5]), ("counts", [1.5, 1]),
+    ("counts", [True, 0]), ("left", None), ("right", [1, 2]), ("left", "leaf"),
+)
+
+
+def _forest_nodes(trees):
+    """Every node of `trees` in walk order."""
+    nodes = []
+    for tree in trees:
+        stack = [tree]
+        while stack:
+            node = stack.pop()
+            nodes.append(node)
+            if "feature" in node:
+                stack += [node["right"], node["left"]]
+    return nodes
+
+
+def _edit(trees, nodes, at, kind):
+    node = nodes[at % len(nodes)]
+    if kind < len(NODE_EDITS):
+        key, value = NODE_EDITS[kind]
+        node[key] = value
+    elif kind == len(NODE_EDITS):
+        node.pop(("cover", "threshold", "counts", "right")[at % 4], None)
+    elif kind == len(NODE_EDITS) + 1:
+        node["feature"], node["threshold"], node["left"], node["right"] = 0, 0.0, node, node
+    elif kind == len(NODE_EDITS) + 2:
+        trees[at % len(trees)] = ["not", "a", "node"]
+    else:
+        node["left"] = nodes[(at // 7) % len(nodes)]  # often shared, sometimes a cycle
+
+
+def test_each_node_edit_raises_as_per_node_walk():
+    # every edit at every node of a small forest, one at a time
+    n_nodes = len(_forest_nodes(random_forest(2, 3, 3, 2, 4)[0].trees))
+    for at in range(n_nodes):
+        for kind in range(len(NODE_EDITS) + 4):
+            trees = list(random_forest(2, 3, 3, 2, 4)[0].trees)
+            _edit(trees, _forest_nodes(trees), at, kind)
+            _assert_same_flattening(tuple(trees), 3, 2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_trees=st.integers(1, 3),
+    depth=st.integers(0, 4),
+    edits=st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, len(NODE_EDITS) + 3)),
+                   min_size=1, max_size=3),
+)
+def test_malformed_flattening_raises_as_per_node_walk(seed, n_trees, depth, edits):
+    # the first malformed node in walk order is named, with the same words,
+    # wherever in the forest the edits land
+    model, _ = random_forest(seed, n_trees, 3, 2, depth)
+    trees = list(model.trees)
+    nodes = _forest_nodes(trees)
+    for at, kind in edits:
+        _edit(trees, nodes, at, kind)
+    _assert_same_flattening(tuple(trees), 3, 2)
 
 
 def test_grid_search_keeps_out_of_fold_predictions():
