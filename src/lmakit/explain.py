@@ -8,6 +8,8 @@ expectations.
 all feature subsets, with the same cover-weighted expectation, walking the
 nested-dict trees.  Both target the probability output, so attributions
 plus the base value reproduce predict_proba exactly (local accuracy).
+`write_explanations_csv` writes one line per instance, class and feature in
+blocks of instances, formatting each distinct phi of a block once.
 """
 
 import csv
@@ -285,24 +287,47 @@ def _csv_cell(field):
     return buf.getvalue()[:-2]
 
 
-def write_explanations_csv(explanation, path):
-    """One line per instance, class and feature, written an instance at a time.
+_LINES = 1 << 13  # at most this many lines are written from one block's distinct phi
 
-    One `%` template holds an instance's lines, with the quoted name cells
-    and the base values in place; each instance is one `template % args`.
+
+def write_explanations_csv(explanation, path):
+    """One line per instance, class and feature, written in blocks of
+    instances of at most _LINES lines.
+
+    Each instance's text is one join of a piece list in which only the
+    instance number and the phi strings change: the quoted class and
+    feature cells and the base values stay in place.  Memory, not speed,
+    sets the block bound and the one value per `%`: larger blocks, or one
+    `%` over a block split at its line ends, format faster but churn the
+    heap enough that a later `explain` in the same process can set a new
+    peak.
     """
     phi = _stacked(explanation)
-    classes, features = ([_csv_cell(name).replace("%", "%%") for name in names]
+    n, size = len(phi), phi[0].size
+    classes, features = ([_csv_cell(name) for name in names]
                          for names in (explanation.class_names, explanation.feature_names))
-    template = "".join(f"%s,{c},{f},%.9g,{b:.9g}\n"
-                       for c, b in zip(classes, explanation.base.tolist()) for f in features)
-    args = [None] * (2 * phi[0].size)
+    pieces = [None] * (4 * size)  # instance, ",class,feature,", phi, ",base\n" per line
+    pieces[1::4] = [f",{c},{f}," for c in classes for f in features]
+    pieces[3::4] = [f",{b:.9g}\n" for b in explanation.base.tolist() for _ in features]
+    bits = np.ascontiguousarray(phi, dtype=float).reshape(n, size).view(np.int64)
+    step = max(1, _LINES // size)
     with open_output(path) as fh:
         fh.write("instance,class,feature,phi,base\n")
-        for n, values in enumerate(phi.reshape(len(phi), phi[0].size)):
-            args[::2] = [n] * len(values)
-            args[1::2] = values.tolist()  # per instance: all rows' floats at once swell peak memory
-            fh.write(template % tuple(args))
+        for first in range(0, n, step):
+            _write_block(fh, pieces, bits[first:first + step], first)
+
+
+def _write_block(fh, pieces, bits, first):
+    """Write the instances whose phi bit patterns are the rows of `bits`,
+    numbered from `first`, filling `pieces` in turn; each distinct bit
+    pattern (so -0.0 stays "-0") is formatted once with `%.9g`."""
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    strings = np.array(list(map("%.9g".__mod__, distinct.view(float).tolist())), dtype=object)
+    del distinct  # before the lines are joined
+    for number, cells in enumerate(inverse.reshape(bits.shape), first):
+        pieces[::4] = [str(number)] * bits.shape[1]
+        pieces[2::4] = strings[cells].tolist()
+        fh.write("".join(pieces))
 
 
 def write_summary_csv(ranking, path):

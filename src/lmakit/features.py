@@ -380,6 +380,7 @@ _CSV_HEADER = ",".join(FEATURE_NAMES + CSV_EXTRA_COLUMNS)
 # separators \x1c-\x1f, which np.loadtxt strips around a number and float()
 # does not; and NUL, which the csv module of Python 3.10 refuses.
 _CSV_ONLY = '"\x00\x1c\x1d\x1e\x1f'
+_STARTS = range(-(1 << 63), 1 << 63)  # a window start is an int64
 
 
 def read_features_csv(path):
@@ -387,9 +388,10 @@ def read_features_csv(path):
 
     A text without quotes has one row per line, its cells between the
     commas: `_read_plain` parses all its numbers in one `np.loadtxt` call.
-    Any other text, and any that `_read_plain` cannot parse, goes through
-    `_read_quoted`, the csv module's reader, which also names the line of an
-    error.  Both give the same table from the same text."""
+    Any other text, and any that `_read_plain` cannot parse or whose window
+    starts overflow an int64, goes through `_read_quoted`, the csv module's
+    reader, which also names the line of an error.  Both give the same table
+    from the same text."""
     text = read_text(path)
     columns = None if any(c in text for c in _CSV_ONLY) else _read_plain(text)
     columns = columns or _read_quoted(text, path)
@@ -418,6 +420,8 @@ def _read_plain(text):
         X = np.loadtxt(heads, delimiter=",", comments=None, ndmin=2)
         starts = [int(s) for s in starts]
     except ValueError:  # a cell that only float() or nothing reads, or a short row
+        return None
+    if not (min(starts) in _STARTS and max(starts) in _STARTS):
         return None
     # n rows of 55 numbers and the comma count make 58 cells on every line
     # (np.loadtxt skips an empty head, so the row count is checked too)
@@ -449,6 +453,10 @@ def _read_quoted(text, path):
                 starts.append(int(row[57]))
             except ValueError as e:
                 raise SchemaError(f"{path}:{reader.line_num}: non-numeric feature CSV cell: {e}") from e
+            if starts[-1] not in _STARTS:
+                raise SchemaError(
+                    f"{path}:{reader.line_num}: window_start {row[57]} is outside the int64 range"
+                )
             labels.append(row[55] or None)
             groups.append(row[56])
     except csv.Error as e:  # such as a cell over the csv module's field size limit

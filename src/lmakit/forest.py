@@ -244,6 +244,15 @@ def _is_real(v):
     return isinstance(v, Real) and not isinstance(v, bool)
 
 
+def _finite(v):
+    """Whether the number `v` is finite as a float; an integer too large to
+    convert is not."""
+    try:
+        return math.isfinite(v)
+    except OverflowError:
+        return False
+
+
 def _all(values, types, check):
     """Whether `check` holds for every value; at C speed when every value's
     type is in `types`, all of whose values pass `check`."""
@@ -272,16 +281,21 @@ def _node_fault(node, seen, n_features, n_classes):
     c = node.get("cover")
     if not _is_int(c) or c < (1 if "feature" in node else 0):
         return f"cover must be a non-negative integer, positive at a split, got {c!r}"
+    if not _finite(c):
+        return "cover is too large for a float"
     if "feature" in node:
         f, thr = node["feature"], node.get("threshold")
         if not _is_int(f) or not 0 <= f < n_features:
             return f"feature index {f!r} outside 0..{n_features - 1}"
-        if not _is_real(thr) or not math.isfinite(thr):
-            return f"threshold must be a finite number, got {thr!r}"
+        if not _is_real(thr) or not _finite(thr):
+            shown = "an integer too large for a float" if _is_int(thr) else repr(thr)
+            return f"threshold must be a finite number, got {shown}"
     else:
         k = node.get("counts")
         if not (isinstance(k, list) and len(k) == n_classes and all(map(_is_int, k))):
             return f"a leaf needs {n_classes} integer class counts, got {k!r}"
+        if not all(map(_finite, k)):
+            return "a class count is too large for a float"
     return None
 
 
@@ -385,8 +399,13 @@ class FlatForest:
         feature = np.full(len(nodes), -1)
         feature[split] = features
         threshold = np.full(len(nodes), math.inf)
-        threshold[split] = thresholds
-        cover = np.array(covers, dtype=float)
+        counts = np.zeros((len(nodes), n_classes))
+        try:  # an integer too large for a float
+            threshold[split] = thresholds
+            cover = np.array(covers, dtype=float)
+            counts[~split] = np.reshape(np.array(all_counts, dtype=float), (-1, n_classes))
+        except OverflowError:
+            raise _first_malformed(nodes, roots, n_features, n_classes) from None
         # a split's threshold can round onto its upper value and leave an
         # empty child, so a leaf may cover nothing
         if not ((cover >= split).all() and np.isfinite(threshold[split]).all()):
@@ -395,8 +414,6 @@ class FlatForest:
         left, right = np.where(split, index + 1, index), index.copy()  # preorder: left follows
         right_of = np.array(right_of)
         right[right_of[right_of >= 0]] = index[right_of >= 0]
-        counts = np.zeros((len(nodes), n_classes))
-        counts[~split] = np.reshape(np.array(all_counts, dtype=float), (-1, n_classes))
         level = np.array(level)
         roots = np.array(roots)
         negative = (counts < 0).any(axis=1)

@@ -403,6 +403,54 @@ def test_malformed_model_message_names_node_as_per_node_walk(ws, tmp_path, capsy
     assert capsys.readouterr().err == f"error: {model}: {reference.value}\n"
 
 
+def _first_leaf_node(payload):
+    """The preorder index of the first leaf of tree 0: its depth."""
+    node, depth = payload["trees"][0], 0
+    while "feature" in node:
+        node, depth = node["left"], depth + 1
+    return depth
+
+
+# a 400-digit integer overflows a float: (edit, node it names, message)
+TOO_LARGE_FOR_FLOAT = {
+    "threshold": (lambda p: _edit_first_split(p, threshold=10**400), lambda p: 0,
+                  "threshold must be a finite number, got an integer too large for a float"),
+    "cover": (lambda p: _edit_left_child(p, cover=10**400), lambda p: 1,
+              "cover is too large for a float"),
+    "count": (lambda p: _first_leaf(p)["counts"].__setitem__(0, 10**400), _first_leaf_node,
+              "a class count is too large for a float"),
+}
+
+
+@pytest.mark.parametrize("command", ["eval", "explain"])
+@pytest.mark.parametrize("case", TOO_LARGE_FOR_FLOAT)
+def test_model_number_too_large_for_a_float_exit_2(ws, tmp_path, capsys, command, case):
+    payload = json.loads((ws / "model" / "model.json").read_text())
+    edit, node, message = TOO_LARGE_FOR_FLOAT[case]
+    edit(payload)
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(payload))
+    argv = ["--out", str(tmp_path / "o"), command, str(model), str(ws / "feats" / "features.csv")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {model}: tree 0 node {node(payload)}: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["eval", "explain"])
+@pytest.mark.parametrize("quoted", [False, True])
+def test_window_start_beyond_int64_exit_2(ws, tmp_path, capsys, command, quoted):
+    # an unquoted text goes through np.loadtxt, a quoted one through the csv module
+    lines = (ws / "feats" / "features.csv").read_text().split("\n")
+    cells = lines[4].split(",")
+    cells[57] = "9" * 30
+    if quoted:
+        cells[56] = f'"{cells[56]}"'
+    lines[4] = ",".join(cells)
+    path = tmp_path / "features.csv"
+    path.write_text("\n".join(lines))
+    assert main(["--out", str(tmp_path / "o"), command, str(ws / "model" / "model.json"), str(path)]) == 2
+    assert f"{path}:5: window_start" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["train", "eval", "explain"])
 def test_header_only_feature_csv_exit_2(ws, tmp_path, capsys, command):
     header = (ws / "feats" / "features.csv").read_text().split("\n")[0]

@@ -10,6 +10,7 @@ from forest_reference import (
     row_batched_tree_shap,
     write_explanations_csv_per_row,
 )
+from lmakit import explain
 from lmakit.errors import LmaError
 from lmakit.explain import (
     _BLOCK,
@@ -396,6 +397,26 @@ def test_csv_quotes_each_name_like_the_per_row_writer(tmp_path):
     write_explanations_csv(batched, tmp_path / "batched.csv")
     write_explanations_csv_per_row(rows, tmp_path / "rows.csv")
     assert (tmp_path / "batched.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
+@pytest.mark.parametrize("lines", [1, 6, 13, 1 << 13])
+def test_block_writer_matches_per_row_writer(tmp_path, monkeypatch, lines):
+    # 6 lines an instance: blocks of 1, 1, 2 and all 9 instances; the pool
+    # repeats values within and across blocks, and holds both zeros and two
+    # bit patterns that %.9g writes alike
+    monkeypatch.setattr(explain, "_LINES", lines)
+    pool = np.array([0.0, -0.0, 0.1, -0.1, 1 / 3, np.nextafter(1 / 3, 1.0), 5e-324, -2.5e300])
+    phi = np.random.default_rng(6).choice(pool, size=(9, 2, 3))
+    phi[0, 0, :2] = phi[4, 1, 1:] = 0.0, -0.0
+    names = {"class_names": ("a", 'b,"c"'), "feature_names": ("f0", "f 1", "5% of %s")}
+    base = np.array([0.25, -0.0])
+    rows = [ShapExplanation(phi=p, base=base, x=np.zeros(3), **names) for p in phi]
+    write_explanations_csv(ShapExplanation(phi=phi, base=base, x=np.zeros((9, 3)), **names),
+                           tmp_path / "blocks.csv")
+    write_explanations_csv_per_row(rows, tmp_path / "rows.csv")
+    text = (tmp_path / "blocks.csv").read_bytes()
+    assert text == (tmp_path / "rows.csv").read_bytes()
+    assert b"\n0,a,f0,0,0.25\n0,a,f 1,-0,0.25\n" in text
 
 
 def test_empty_leaf_attributes_finitely():
