@@ -12,6 +12,7 @@ import argparse
 import configparser
 import functools
 import hashlib
+import json
 import math
 import os
 import sys
@@ -59,6 +60,7 @@ from .forest import (
 )
 from .kinematics import WindowConfig
 from .sequence import load_sequence, save_sequence, validate_and_repair
+from .skeleton import OPTIONAL_ROLES
 from .synth import default_styles, generate_corpus
 
 
@@ -225,9 +227,31 @@ def _list_of(item):
     return items
 
 
+def _skeleton_signature(skel):
+    """What a skeleton changes in the features: the joint count (the hull
+    takes every joint), the optional roles present (an elbow angle without
+    its role uses a midarm proxy) and the Effort weights of SELECTED_JOINTS."""
+    return {
+        "joints": skel.n_joints,
+        "optional_roles": [r for r in OPTIONAL_ROLES if skel.has_role(r)],
+        "weights": {r: skel.weight(r) for r in SELECTED_JOINTS},
+    }
+
+
+def _refuse_mixed(paths, keys, what, advice, describe=str):
+    """Refuse inputs whose `keys` differ, naming the files under each key."""
+    by_key = {}
+    for p, key in zip(paths, keys):
+        by_key.setdefault(key, []).append(str(p))
+    if len(by_key) > 1:
+        listing = "; ".join(f"{describe(key)}: {', '.join(files)}" for key, files in by_key.items())
+        raise LmaError(f"inputs have mixed {what} ({listing}); {advice}")
+
+
 def _load_sequences(paths, max_gap=6):
     """Load and repair every sequence; refuse a set with mixed frame rates,
-    because windows are counted in frames."""
+    because windows are counted in frames, or with mixed skeletons, whose
+    features are not comparable."""
     seqs = []
     for p in paths:
         seq = load_sequence(p)  # its errors already carry [path:line]
@@ -235,12 +259,10 @@ def _load_sequences(paths, max_gap=6):
             seqs.append(validate_and_repair(seq, max_gap=max_gap))
         except GapError as e:  # the repair does not know the file
             raise LmaError(f"{p}: {e}") from e
-    by_fps = {}
-    for p, seq in zip(paths, seqs):
-        by_fps.setdefault(seq.fps, []).append(str(p))
-    if len(by_fps) > 1:
-        listing = "; ".join(f"{fps:g} fps: {', '.join(files)}" for fps, files in by_fps.items())
-        raise LmaError(f"inputs have mixed frame rates ({listing}); resample them to one rate")
+    _refuse_mixed(paths, (seq.fps for seq in seqs), "frame rates", "resample them to one rate",
+                  describe=lambda fps: f"{fps:g} fps")
+    _refuse_mixed(paths, (json.dumps(_skeleton_signature(seq.skeleton)) for seq in seqs), "skeletons",
+                  "extract each skeleton on its own")
     return seqs
 
 
@@ -271,6 +293,7 @@ def cmd_extract(args, file_cfg, out):
         "inputs": list(args.sequences) + ([args.cloud] if args.cloud else []),
         "notes": notes,
         "fps": {str(p): seq.fps for p, seq in zip(args.sequences, seqs)},
+        "skeleton": _skeleton_signature(seqs[0].skeleton),
         "diagnostics": {"degenerate_hull_frames": degenerate},
     }
 

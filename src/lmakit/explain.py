@@ -12,8 +12,6 @@ plus the base value reproduce predict_proba exactly (local accuracy).
 blocks of instances, formatting each distinct phi of a block once.
 """
 
-import csv
-import io
 from dataclasses import dataclass
 from itertools import combinations
 from math import factorial
@@ -21,7 +19,7 @@ from math import factorial
 import numpy as np
 
 from .errors import LmaError
-from .files import open_output, write_csv
+from .files import csv_cell, open_output, write_csv
 
 
 @dataclass(frozen=True)
@@ -279,14 +277,6 @@ def summary_rank(explanation):
     return rank_features(explanation.feature_names, mean_abs_phi(explanation)[1])
 
 
-def _csv_cell(field):
-    """`field` as csv.writer puts it on a line beside other fields; a line of
-    one empty field alone would be quoted."""
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow((field, ""))
-    return buf.getvalue()[:-2]
-
-
 _LINES = 1 << 13  # at most this many lines are written from one block's distinct phi
 
 
@@ -304,7 +294,7 @@ def write_explanations_csv(explanation, path):
     """
     phi = _stacked(explanation)
     n, size = len(phi), phi[0].size
-    classes, features = ([_csv_cell(name) for name in names]
+    classes, features = ([csv_cell(name) for name in names]
                          for names in (explanation.class_names, explanation.feature_names))
     pieces = [None] * (4 * size)  # instance, ",class,feature,", phi, ",base\n" per line
     pieces[1::4] = [f",{c},{f}," for c in classes for f in features]

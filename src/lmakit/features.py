@@ -21,7 +21,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import LmaError, SchemaError
-from .files import read_text, write_csv
+from .files import csv_cell, open_output, read_text
 from .floor import flat_floor, height_above_floor
 from .hull import hull_volume
 from .kinematics import WindowConfig, derivative, windows
@@ -363,19 +363,26 @@ def assemble_features(seq, plane=None, cfg=None, primitives=None):
 
 
 CSV_EXTRA_COLUMNS = ("label", "group_id", "window_start")
+_CSV_HEADER = ",".join(FEATURE_NAMES + CSV_EXTRA_COLUMNS)
+
+
+# one line of features.csv: the 55 values, then the label, group id and start
+_CSV_ROW = ",".join(["%.9g"] * len(FEATURE_NAMES) + ["%s", "%s", "%d"]) + "\n"
 
 
 def write_features_csv(table, path):
-    """Feature CSV: the 55 canonical names + label/group_id/window_start."""
-    rows = zip(table.X.tolist(), table.labels, table.groups, table.starts.tolist())
-    write_csv(
-        path,
-        list(FEATURE_NAMES) + list(CSV_EXTRA_COLUMNS),
-        ([f"{v:.9g}" for v in x] + [label or "", group, start] for x, label, group, start in rows),
-    )
+    """Feature CSV: the 55 canonical names + label/group_id/window_start.
+
+    Each row is one `%` of _CSV_ROW; each distinct label and group id is
+    quoted once, as the csv module quotes it."""
+    texts = [label or "" for label in table.labels]
+    cells = {text: csv_cell(text) for text in {*texts, *table.groups}}
+    rows = zip(table.X.tolist(), texts, table.groups, table.starts.tolist())
+    with open_output(path) as fh:
+        fh.write(_CSV_HEADER + "\n")
+        fh.writelines(_CSV_ROW % (*x, cells[label], cells[group], start) for x, label, group, start in rows)
 
 
-_CSV_HEADER = ",".join(FEATURE_NAMES + CSV_EXTRA_COLUMNS)
 # Characters that send a text to the csv module alone: the quote; the
 # separators \x1c-\x1f, which np.loadtxt strips around a number and float()
 # does not; and NUL, which the csv module of Python 3.10 refuses.

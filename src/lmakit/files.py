@@ -4,6 +4,7 @@ non-UTF-8 input, and an output that cannot be written, is a data error
 naming its path."""
 
 import csv
+import io
 import json
 from contextlib import contextmanager
 
@@ -37,6 +38,14 @@ def write_csv(path, header, rows):
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def csv_cell(field):
+    """`field` as csv.writer puts it on a line beside other fields; a line of
+    one empty field alone would be quoted."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow((field, ""))
+    return buf.getvalue()[:-2]
 
 
 def write_json(path, payload):

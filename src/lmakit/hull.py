@@ -6,7 +6,10 @@ the hull's faces.  The points lying on one face (the four corners of a cube
 face, or extra points on it) are merged into one convex polygon, so the
 facets are watertight and the volume exact however many points are coplanar.
 The work grows as n^4 in the point count, which suits skeleton frames of
-tens of joints.
+tens of joints.  `hull_volume` is called once per frame, so the index
+arrays that depend only on the point count (the triples, their swapped
+twins and the positions of their coordinates) are built once per count:
+a call then gathers every triple's corners with one `take`.
 
 Degenerate inputs (fewer than 4 points, collinear or coplanar sets) have a
 well-defined volume of 0 rather than raising.
@@ -27,13 +30,20 @@ _BLOCK = 8192
 
 @functools.lru_cache(maxsize=64)
 def _triple_blocks(n):
-    """The C(n, 3) index triples i < j < k, as read-only (3, m) blocks of
-    at most _BLOCK columns."""
+    """The C(n, 3) index triples i < j < k in read-only blocks of at most
+    _BLOCK columns, as (pair, flat): the (3, 2m) triples of the block and
+    then the same with j and k swapped, and the (3 corners, 3 axes, m)
+    indices of the block's coordinates in a flattened (n, 3) point array."""
     tri = np.array(list(combinations(range(n), 3)), dtype=np.intp).reshape(-1, 3).T
-    blocks = tuple(np.ascontiguousarray(tri[:, s : s + _BLOCK]) for s in range(0, tri.shape[1], _BLOCK))
-    for block in blocks:
-        block.setflags(write=False)
-    return blocks
+    blocks = []
+    for s in range(0, tri.shape[1], _BLOCK):
+        block = tri[:, s : s + _BLOCK]
+        pair = np.concatenate([block, block[[0, 2, 1]]], axis=1)
+        flat = 3 * block[:, None, :] + np.arange(3)[None, :, None]
+        for array in (pair, flat):
+            array.setflags(write=False)
+        blocks.append((pair, flat))
+    return tuple(blocks)
 
 
 def _corners(coords, index):
@@ -43,12 +53,14 @@ def _corners(coords, index):
     return np.take(coords, index.ravel(), axis=1).reshape(3, 3, -1).swapaxes(0, 1)
 
 
-_NEXT, _AFTER = np.array([1, 2, 0]), np.array([2, 0, 1])
+# the axes of u and of v in the products u[i+1] v[i+2] and u[i+2] v[i+1]
+_U, _V = np.array([1, 2, 0, 2, 0, 1]), np.array([2, 0, 1, 1, 2, 0])
 
 
 def _cross(u, v):
     """Cross products of the columns of two (3, m) arrays."""
-    return u.take(_NEXT, axis=0) * v.take(_AFTER, axis=0) - u.take(_AFTER, axis=0) * v.take(_NEXT, axis=0)
+    products = u.take(_U, axis=0) * v.take(_V, axis=0)
+    return products[:3] - products[3:]
 
 
 def _polygon(pts, idx, normal, area_tol):
@@ -91,15 +103,15 @@ def _hull_triangles(pts):
     n = len(pts)
     if n < 4:
         return None
-    lo = pts.min(axis=0)
-    extent = max(1.0, float((pts.max(axis=0) - lo).max()))
-    pts = pts - lo  # plane offsets are tested near the origin
-    coords = np.ascontiguousarray(pts.T)
+    pts = pts - pts.min(axis=0)  # plane offsets are tested near the origin
+    # rounding is monotone, so this is the largest coordinate range exactly
+    extent = max(1.0, float(pts.max()))
     tol = _REL_TOL * extent
     area_tol = tol * extent
+    flat_pts = pts.ravel()
     triangles, merged, seen = [], [], set()
-    for block in _triple_blocks(n):
-        a, b, c = _corners(coords, block)
+    for pair, flat in _triple_blocks(n):
+        a, b, c = flat_pts.take(flat)
         normal = _cross(b - a, c - a)
         length = np.sqrt(np.einsum("ij,ij->j", normal, normal))
         # side[p, t]: distance of point p from triple t's plane, times length[t]
@@ -111,9 +123,8 @@ def _hull_triangles(pts):
         face = np.flatnonzero((below != above) & (length > area_tol))
         on = np.abs(side[:, face]) <= margin[face]
         plain = on.sum(axis=0) == 3
-        tri = block[:, face]
-        tri = np.where(below[face], tri, tri[[0, 2, 1]])
-        triangles.append(tri[:, plain].T)
+        kept = face[plain]  # a face's triple, swapped (m columns on) if the points lie above it
+        triangles.append(pair.take(kept + len(length) * above[kept], axis=1).T)
         for k in np.flatnonzero(~plain):
             key = on[:, k].tobytes()
             if key not in seen:
@@ -121,8 +132,9 @@ def _hull_triangles(pts):
                 outward = normal[:, face[k]] * (1.0 if below[face[k]] else -1.0)
                 poly = _polygon(pts, np.flatnonzero(on[:, k]), outward, area_tol)
                 merged.extend((poly[0], poly[i], poly[i + 1]) for i in range(1, len(poly) - 1))
-    triangles.append(np.array(merged, dtype=np.intp).reshape(-1, 3))
-    triangles = np.concatenate(triangles)
+    if merged:
+        triangles.append(np.array(merged, dtype=np.intp))
+    triangles = triangles[0] if len(triangles) == 1 else np.concatenate(triangles)
     return triangles if len(triangles) else None
 
 
@@ -155,6 +167,7 @@ def hull_volume(points):
         return 0.0
     vertex = np.zeros(len(pts), dtype=bool)
     vertex[triangles] = True
-    rel = pts - pts[vertex].mean(axis=0)
+    corners = pts[vertex]
+    rel = pts - np.add.reduce(corners, axis=0) / len(corners)  # bit for bit .mean(axis=0)
     a, b, c = _corners(np.ascontiguousarray(rel.T), triangles.T)
     return abs(float(np.einsum("ij,ij->", a, _cross(b, c)))) / 6.0

@@ -11,6 +11,7 @@ in meters.  NaN coordinates are encoded as null.
 import json
 import math
 from dataclasses import dataclass, field, replace
+from itertools import chain
 
 import numpy as np
 
@@ -125,39 +126,83 @@ def _parse_header(obj, path):
     return fps, skel, label, group_id
 
 
+def _json_line(line, what, path, lineno):
+    """The JSON value of one line; malformed or too deeply nested JSON raises
+    SequenceFormatError naming `path` and `lineno`."""
+    try:
+        return json.loads(line)
+    except json.JSONDecodeError as e:
+        raise SequenceFormatError(f"bad {what} JSON: {e}", path, lineno) from e
+    except RecursionError as e:
+        raise SequenceFormatError(f"bad {what} JSON: nested too deeply", path, lineno) from e
+
+
 def load_sequence(path):
-    """Parse a sequence JSONL file."""
+    """Parse a sequence JSONL file.
+
+    Each non-blank line after the header is one JSON value.  `_read_frames`
+    checks and converts all frames at once, with whole-list type checks; a
+    file it refuses goes through `_read_frames_per_line`, which checks one
+    coordinate at a time and raises SequenceFormatError naming the line of
+    the first fault.  Both give the same positions from the same text."""
     lines = read_text(path).splitlines()
     if not lines:
         raise SequenceFormatError("empty file", path)
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as e:
-        raise SequenceFormatError(f"bad header JSON: {e}", path, 1) from e
-    fps, skel, label, group_id = _parse_header(header, path)
+    fps, skel, label, group_id = _parse_header(_json_line(lines[0], "header", path, 1), path)
+    numbered = [(lineno, line) for lineno, line in enumerate(lines[1:], start=2) if line.strip()]
+    positions = _read_frames(numbered, skel.n_joints)
+    if positions is None:
+        positions = _read_frames_per_line(numbered, skel.n_joints, path)
+    if len(positions) < 2:
+        raise SequenceFormatError("T >= 2 required", path)
+    return JointSequence(fps, positions, skel, label=label, group_id=group_id)
 
+
+_COORDINATE_TYPES = {int, float, type(None)}  # bool is an int subclass: exact types
+
+
+def _read_frames(numbered, n_joints):
+    """(T, n_joints, 3) positions of the (line number, text) frame lines, or
+    None unless every line is a list of n_joints [x, y, z] lists of numbers
+    or nulls, none of them beyond float range."""
+    try:
+        rows = [json.loads(line) for _, line in numbered]
+    except (json.JSONDecodeError, RecursionError):
+        return None
+    if not (set(map(type, rows)) <= {list} and set(map(len, rows)) <= {n_joints}):
+        return None
+    triples = list(chain.from_iterable(rows))
+    if not (set(map(type, triples)) <= {list} and set(map(len, triples)) <= {3}):
+        return None
+    values = list(chain.from_iterable(triples))
+    if not set(map(type, values)) <= _COORDINATE_TYPES:
+        return None
+    try:
+        return np.array(values, dtype=float).reshape(len(rows), n_joints, 3)  # null -> NaN
+    except OverflowError:  # an integer beyond float range
+        return None
+
+
+def _read_frames_per_line(numbered, n_joints, path):
+    """(T, n_joints, 3) positions of the (line number, text) frame lines,
+    checked one line and coordinate at a time; the first fault raises
+    SequenceFormatError naming `path` and its line."""
     frames = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        try:
-            row = json.loads(line)
-        except json.JSONDecodeError as e:
-            raise SequenceFormatError(f"bad frame JSON: {e}", path, lineno) from e
-        if not isinstance(row, list) or len(row) != skel.n_joints:
+    for lineno, line in numbered:
+        row = _json_line(line, "frame", path, lineno)
+        if not isinstance(row, list) or len(row) != n_joints:
             raise SequenceFormatError(
                 f"frame {lineno - 2} has {len(row) if isinstance(row, list) else '?'} "
-                f"joints, expected {skel.n_joints}",
+                f"joints, expected {n_joints}",
                 path,
                 lineno,
             )
-        frame = np.empty((skel.n_joints, 3))
+        frame = np.empty((n_joints, 3))
         for j, trip in enumerate(row):
-            # bool is an int subclass, so compare exact types
             if (
                 not isinstance(trip, list)
                 or len(trip) != 3
-                or not all(v is None or type(v) in (int, float) for v in trip)
+                or not all(type(v) in _COORDINATE_TYPES for v in trip)
             ):
                 raise SequenceFormatError(
                     f"frame {lineno - 2}, joint {j}: expected [x, y, z] of numbers or null",
@@ -171,10 +216,7 @@ def load_sequence(path):
                     f"frame {lineno - 2}, joint {j}: coordinate out of range", path, lineno
                 ) from e
         frames.append(frame)
-    if len(frames) < 2:
-        raise SequenceFormatError("T >= 2 required", path)
-    positions = np.stack(frames)
-    return JointSequence(fps, positions, skel, label=label, group_id=group_id)
+    return np.array(frames).reshape(-1, n_joints, 3)
 
 
 def save_sequence(seq, path):

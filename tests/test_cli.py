@@ -266,6 +266,59 @@ def test_mixed_frame_rates_exit_2(ws, tmp_path, capsys, command):
     assert "mixed frame rates" in err and str(fast_seq) in err and str(slow_seq) in err
 
 
+def _with_elbows(src, path):
+    """A copy of the sequence file `src` with two more joints, fixed in
+    place, playing the optional left_elbow and right_elbow roles."""
+    header, *frames = Path(src).read_text(encoding="utf-8").split("\n")
+    header = json.loads(header)
+    header["joints"] += ["left_elbow", "right_elbow"]
+    header["roles"].update(left_elbow="left_elbow", right_elbow="right_elbow")
+    lines = [json.dumps(header)]
+    lines += [json.dumps(json.loads(line) + [[0.2, 1.2, 0.0], [-0.2, 1.2, 0.0]]) for line in frames if line]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("command", [["extract", "--w", "10", "--stride", "5"], ["sweep", "--sizes", "10"]])
+def test_mixed_skeletons_exit_2(ws, tmp_path, capsys, command):
+    plain = sorted((ws / "corpus").glob("*.jsonl"))[0]
+    elbows = _with_elbows(plain, tmp_path / "elbows.jsonl")
+    capsys.readouterr()
+    assert main(["--out", str(tmp_path / "o"), *command, str(plain), str(elbows)]) == 2
+    err = capsys.readouterr().err
+    assert "mixed skeletons" in err and str(plain) in err and str(elbows) in err
+    assert '"joints": 13, "optional_roles": []' in err
+    assert '"joints": 15, "optional_roles": ["left_elbow", "right_elbow"]' in err
+    assert not (tmp_path / "o" / "features.csv").exists()
+
+
+def test_extract_manifest_records_the_skeleton(ws, tmp_path):
+    manifest = json.loads((ws / "feats" / "manifest.json").read_text())
+    assert manifest["skeleton"] == {
+        "joints": 13,
+        "optional_roles": [],
+        "weights": {"head": 0.8, "left_hand": 1.0, "right_hand": 1.0, "left_foot": 1.0,
+                    "right_foot": 1.0, "pelvis": 0.5},
+    }
+    # one skeleton with elbows is one comparable set
+    elbows = [_with_elbows(p, tmp_path / f"elbows-{i}.jsonl")
+              for i, p in enumerate(sorted((ws / "corpus").glob("*.jsonl"))[:2])]
+    out = tmp_path / "o"
+    assert main(["--out", str(out), "extract", "--w", "10", "--stride", "5", *map(str, elbows)]) == 0
+    skeleton = json.loads((out / "manifest.json").read_text())["skeleton"]
+    assert skeleton["joints"] == 15 and skeleton["optional_roles"] == ["left_elbow", "right_elbow"]
+
+
+@pytest.mark.parametrize("line", [0, 3])
+def test_deeply_nested_json_exit_2(ws, tmp_path, capsys, line):
+    lines = sorted((ws / "corpus").glob("*.jsonl"))[0].read_text().split("\n")
+    lines[line] = "[" * 100_000
+    bad = tmp_path / "deep.jsonl"
+    bad.write_text("\n".join(lines))
+    assert main(["--out", str(tmp_path / "o"), "extract", "--w", "10", str(bad)]) == 2
+    assert f"nested too deeply [{bad}:{line + 1}]" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("coordinate", ["true", '"1.0"', '"abc"'])
 def test_non_numeric_coordinate_exit_2(ws, tmp_path, capsys, coordinate):
     src = sorted((ws / "corpus").glob("*.jsonl"))[0]

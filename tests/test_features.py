@@ -1,3 +1,4 @@
+import csv
 import warnings
 
 import numpy as np
@@ -541,6 +542,34 @@ def test_csv_round_trip(tmp_path):
     assert back.groups == ("vid1",) * len(table)
     assert back.starts.tolist() == table.starts.tolist()
     np.testing.assert_allclose(back.X, table.X, rtol=1e-8)
+
+
+@pytest.mark.parametrize("texts", [
+    ("a,b", 'say "hi"', "100%", "two\nlines", "", "plain", "%s %d"),
+    ("\r", "a\rb"),  # written as the csv module writes it, unquoted, so not read back
+])
+def test_csv_writer_bytes_match_the_csv_module(tmp_path, texts):
+    # labels and group ids that need quoting, or a `%`, and values whose
+    # text is easy to get wrong; None is written as an empty label
+    rng = np.random.default_rng(4)
+    n = 2 * len(texts)
+    X = rng.normal(0.0, 10.0 ** rng.integers(-5, 6, (n, 55)))
+    X[0, :3] = [-0.0, 1e-300, 1.5e300]
+    X[1, :3] = [0.0, -5e-324, -1.7976931348623157e308]
+    labels = [None, *texts, *texts[::-1]][:n]
+    groups = [*texts[::-1], *texts]
+    table = FeatureTable(X, labels, groups, np.arange(n) * 7 - 3)
+    path = tmp_path / "features.csv"
+    write_features_csv(table, path)
+    with open(tmp_path / "reference.csv", "w", encoding="utf-8", newline="\n") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(list(FEATURE_NAMES) + ["label", "group_id", "window_start"])
+        writer.writerows([f"{v:.9g}" for v in x] + [label or "", group, start]
+                         for x, label, group, start in zip(X.tolist(), labels, groups, table.starts.tolist()))
+    assert path.read_bytes() == (tmp_path / "reference.csv").read_bytes()
+    if "\r" not in "".join(texts):
+        back = read_features_csv(path)
+        assert back.labels == tuple(label or None for label in labels) and back.groups == tuple(groups)
 
 
 def test_csv_header_only_reads_as_empty_table(tmp_path):

@@ -9,7 +9,13 @@ from hypothesis import strategies as st
 
 from conftest import make_sequence, static_pose_positions
 from lmakit.errors import GapError, SequenceFormatError
-from lmakit.sequence import load_sequence, save_sequence, validate_and_repair
+from lmakit.sequence import (
+    _read_frames,
+    _read_frames_per_line,
+    load_sequence,
+    save_sequence,
+    validate_and_repair,
+)
 from lmakit.skeleton import REQUIRED_ROLES
 
 
@@ -301,3 +307,99 @@ def test_non_object_header_rejected(tmp_path):
     _write_minimal_file(f, mutate=lambda lines: ["[1, 2]"] + lines[1:])
     with pytest.raises(SequenceFormatError, match="JSON object"):
         load_sequence(f)
+
+
+def _numbered(path):
+    """The (line number, text) frame lines of a sequence file, as `load_sequence` reads them."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    return [(lineno, line) for lineno, line in enumerate(lines[1:], start=2) if line.strip()]
+
+
+_COORDINATES = st.one_of(
+    st.none(),
+    st.integers(-(10**6), 10**6),
+    st.sampled_from([10**22 + 7, -(10**22) - 3, 2**63, 2**53 + 1]),  # floats, but not int64s
+    st.floats(allow_nan=True, allow_infinity=True),  # NaN and Infinity tokens too
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    frames=st.lists(st.lists(st.lists(_COORDINATES, min_size=3, max_size=3), min_size=13, max_size=13),
+                    min_size=2, max_size=5),
+    blanks=st.lists(st.integers(1, 6), max_size=3),
+    end=st.sampled_from(["\n", "\r\n"]),
+)
+def test_whole_list_frames_match_the_line_loop(tmp_path_factory, frames, blanks, end):
+    path = tmp_path_factory.mktemp("frames") / "seq.jsonl"
+
+    def write(lines):
+        lines = lines[:1] + [json.dumps(f) for f in frames]
+        for at in blanks:
+            lines.insert(min(at, len(lines)), " " * (at % 2))
+        return [line + end.rstrip("\n") for line in lines]
+
+    _write_minimal_file(path, mutate=write)
+    numbered = _numbered(path)
+    fast = _read_frames(numbered, 13)
+    loop = _read_frames_per_line(numbered, 13, path)
+    assert fast is not None and fast.shape == (len(frames), 13, 3)
+    assert np.array_equal(fast, loop, equal_nan=True) and fast.dtype == loop.dtype
+    positions = load_sequence(path).positions
+    assert np.array_equal(positions, loop, equal_nan=True)
+    assert np.array_equal(np.isnan(positions), [[[v is None or v != v for v in t] for t in f] for f in frames])
+
+
+def _frame_edit(edit):
+    """A mutation that rewrites frame 1 (line 3) of the minimal file with `edit`."""
+
+    def mutate(lines):
+        lines[2] = edit(lines[2], json.loads(lines[2]))
+        return lines
+
+    return mutate
+
+
+_DEEP = "[" * 100_000
+
+
+_MALFORMED = {
+    "bool": (lambda text, f: json.dumps([[True, 0, 0]] + f[1:]),
+             "frame 1, joint 0: expected [x, y, z] of numbers or null"),
+    "string": (lambda text, f: json.dumps(f[:4] + [[0, "1.0", 0]] + f[5:]),
+               "frame 1, joint 4: expected [x, y, z] of numbers or null"),
+    "nested-list": (lambda text, f: json.dumps(f[:2] + [[0, [1.0], 0]] + f[3:]),
+                    "frame 1, joint 2: expected [x, y, z] of numbers or null"),
+    "two-item-triple": (lambda text, f: json.dumps(f[:7] + [[0.5, 1.5]] + f[8:]),
+                        "frame 1, joint 7: expected [x, y, z] of numbers or null"),
+    "ragged-frame": (lambda text, f: json.dumps(f[:-1]), "frame 1 has 12 joints, expected 13"),
+    "two-frames-on-a-line": (lambda text, f: text + " " + text, None),
+    "400-digit-integer": (lambda text, f: json.dumps(f[:3] + [[0, 1, "X"]] + f[4:]).replace('"X"', "1" + "0" * 400),
+                          "frame 1, joint 3: coordinate out of range"),
+    "trailing-garbage": (lambda text, f: text + " ]", None),
+    "deep-nesting": (lambda text, f: _DEEP, "bad frame JSON: nested too deeply"),
+}
+
+
+@pytest.mark.parametrize("edit, message", _MALFORMED.values(), ids=_MALFORMED)
+def test_malformed_frames_raise_the_line_loop_message(tmp_path, edit, message):
+    # each of these fails the whole-list checks, and the line loop names the
+    # fault and its line as it always did
+    path = tmp_path / "seq.jsonl"
+    _write_minimal_file(path, n_frames=3, mutate=_frame_edit(edit))
+    if message is None:  # the decoder's own message
+        with pytest.raises(json.JSONDecodeError) as decode:
+            json.loads(path.read_text(encoding="utf-8").split("\n")[2])
+        message = f"bad frame JSON: {decode.value}"
+    assert _read_frames(_numbered(path), 13) is None
+    with pytest.raises(SequenceFormatError) as e:
+        load_sequence(path)
+    assert str(e.value) == f"{message} [{path}:3]"
+    assert (e.value.path, e.value.line) == (path, 3)
+
+
+def test_deeply_nested_header_is_a_format_error(tmp_path):
+    path = tmp_path / "seq.jsonl"
+    _write_minimal_file(path, mutate=lambda lines: [_DEEP] + lines[1:])
+    with pytest.raises(SequenceFormatError, match=r"^bad header JSON: nested too deeply \[.*seq\.jsonl:1\]$"):
+        load_sequence(path)
