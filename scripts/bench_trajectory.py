@@ -6,14 +6,15 @@ Run from the repository root:
     python3 scripts/bench_trajectory.py --checkout ../other   # another checkout
 
 For every workload of bench/run.py it runs the benchmark as a subprocess
-once per seed (untraced), then once more with --trace 1, all in the
-checkout.  It writes BENCH_<short-rev>.json (BENCH_<short-rev>-dirty.json if
-the checkout has uncommitted changes) at the root of the repository that
-holds this script.  The file holds, per workload, the median and quartiles
-of every end-to-end metric over the seeds with the summed `correct`,
-`attempted` and `failed` counts, and the per-layer medians of the traced
-run; and, for the whole file, the checkout's git revision, `nproc`, and the
-Python and numpy versions that ran it.
+for 40 s once per seed 1, 2 and 3 (untraced), then once more with
+--trace 1, all in the checkout.  It writes BENCH_<short-rev>.json
+(BENCH_<short-rev>-dirty.json if the checkout has uncommitted changes) at
+the root of the repository that holds this script.  The file holds, per
+workload, the median and quartiles of every end-to-end metric over the
+seeds with the summed `correct`, `attempted` and `failed` counts, and the
+per-layer medians of the traced run; and, for the whole file, the
+checkout's git revision, `nproc`, and the Python and numpy versions that
+ran it.
 """
 
 import argparse
@@ -29,6 +30,8 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("train", "explain")
+SEEDS = (1, 2, 3)  # at least 3, for quartiles
+SECONDS = 40.0
 
 
 def _git(checkout, *args):
@@ -36,10 +39,10 @@ def _git(checkout, *args):
                           text=True).stdout.strip()
 
 
-def _bench(checkout, workload, seed, seconds, trace):
+def _bench(checkout, workload, seed, trace):
     """The result object that bench/run.py prints as its last stdout line."""
     argv = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-            "--seconds", str(seconds), "--trace", str(trace)]
+            "--seconds", str(SECONDS), "--trace", str(trace)]
     print("running", " ".join(argv[1:]), file=sys.stderr, flush=True)
     run = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
     if run.returncode != 0:
@@ -52,16 +55,16 @@ def _spread(values):
     return {"median": median, "q1": q1, "q3": q3, "runs": values}
 
 
-def _workload(checkout, workload, seeds, seconds):
-    runs = [_bench(checkout, workload, seed, seconds, 0) for seed in seeds]
-    traced = _bench(checkout, workload, seeds[0], seconds, 1)
+def _workload(checkout, workload):
+    runs = [_bench(checkout, workload, seed, 0) for seed in SEEDS]
+    traced = _bench(checkout, workload, SEEDS[0], 1)
     counts = {key: sum(r[key] for r in runs + [traced]) for key in ("attempted", "failed")}
     end_to_end = {}
     for name, metric in runs[0]["metrics"].items():
         end_to_end[name] = {"unit": metric["unit"],
                             **_spread([r["metrics"][name]["value"] for r in runs])}
     return {
-        "seeds": seeds,
+        "seeds": list(SEEDS),
         "correct": sum(r["correct"] is True for r in runs + [traced]),
         "runs": len(runs) + 1,
         **counts,
@@ -75,12 +78,7 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--checkout", type=Path, default=ROOT,
                         help="git checkout whose bench/run.py and src/ are measured")
-    parser.add_argument("--seeds", type=lambda text: [int(s) for s in text.split(",")],
-                        default=[1, 2, 3], help="comma-separated, at least 3")
-    parser.add_argument("--seconds", type=float, default=40.0)
     args = parser.parse_args(argv)
-    if len(args.seeds) < 3:
-        parser.error("--seeds needs at least 3 seeds for quartiles")
 
     checkout = args.checkout.resolve()
     revision = _git(checkout, "rev-parse", "HEAD")
@@ -91,8 +89,8 @@ def main(argv=None):
         "nproc": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count(),
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "seconds": args.seconds,
-        "workloads": {w: _workload(checkout, w, args.seeds, args.seconds) for w in WORKLOADS},
+        "seconds": SECONDS,
+        "workloads": {w: _workload(checkout, w) for w in WORKLOADS},
     }
     path = ROOT / f"BENCH_{revision[:7]}{'-dirty' if dirty else ''}.json"
     path.write_text(json.dumps(payload, indent=1) + "\n", encoding="utf-8")

@@ -43,6 +43,7 @@ from .features import (
     LmaConfig,
     assemble_features,
     read_features_csv,
+    skeleton_signature,
     write_features_csv,
 )
 from .floor import fit_floor, flat_floor
@@ -60,7 +61,6 @@ from .forest import (
 )
 from .kinematics import WindowConfig
 from .sequence import load_sequence, save_sequence, validate_and_repair
-from .skeleton import OPTIONAL_ROLES
 from .synth import default_styles, generate_corpus
 
 
@@ -227,17 +227,6 @@ def _list_of(item):
     return items
 
 
-def _skeleton_signature(skel):
-    """What a skeleton changes in the features: the joint count (the hull
-    takes every joint), the optional roles present (an elbow angle without
-    its role uses a midarm proxy) and the Effort weights of SELECTED_JOINTS."""
-    return {
-        "joints": skel.n_joints,
-        "optional_roles": [r for r in OPTIONAL_ROLES if skel.has_role(r)],
-        "weights": {r: skel.weight(r) for r in SELECTED_JOINTS},
-    }
-
-
 def _refuse_mixed(paths, keys, what, advice, describe=str):
     """Refuse inputs whose `keys` differ, naming the files under each key."""
     by_key = {}
@@ -261,7 +250,7 @@ def _load_sequences(paths, max_gap=6):
             raise LmaError(f"{p}: {e}") from e
     _refuse_mixed(paths, (seq.fps for seq in seqs), "frame rates", "resample them to one rate",
                   describe=lambda fps: f"{fps:g} fps")
-    _refuse_mixed(paths, (json.dumps(_skeleton_signature(seq.skeleton)) for seq in seqs), "skeletons",
+    _refuse_mixed(paths, (json.dumps(skeleton_signature(seq.skeleton)) for seq in seqs), "skeletons",
                   "extract each skeleton on its own")
     return seqs
 
@@ -293,7 +282,7 @@ def cmd_extract(args, file_cfg, out):
         "inputs": list(args.sequences) + ([args.cloud] if args.cloud else []),
         "notes": notes,
         "fps": {str(p): seq.fps for p, seq in zip(args.sequences, seqs)},
-        "skeleton": _skeleton_signature(seqs[0].skeleton),
+        "skeleton": skeleton_signature(seqs[0].skeleton),
         "diagnostics": {"degenerate_hull_frames": degenerate},
     }
 

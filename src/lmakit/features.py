@@ -25,11 +25,25 @@ from .files import csv_cell, open_output, read_text
 from .floor import flat_floor, height_above_floor
 from .hull import hull_volume
 from .kinematics import WindowConfig, derivative, windows
+from .skeleton import OPTIONAL_ROLES
 
 EFFORT_ROLES = ("head", "left_hand", "right_hand", "left_foot", "right_foot")
 # the joints of the weighted Effort aggregates; a superset of EFFORT_ROLES,
 # whose own slots read the same per-joint ratios and jerks
 SELECTED_JOINTS = EFFORT_ROLES + ("pelvis",)
+
+
+def skeleton_signature(skel):
+    """What a skeleton changes in the features: the joint count (the hull
+    takes every joint), the optional roles present (an elbow angle without
+    its role uses a midarm proxy) and the Effort weights of SELECTED_JOINTS.
+    Sequences of one signature give comparable feature rows."""
+    return {
+        "joints": skel.n_joints,
+        "optional_roles": [r for r in OPTIONAL_ROLES if skel.has_role(r)],
+        "weights": {r: skel.weight(r) for r in SELECTED_JOINTS},
+    }
+
 
 FEATURE_NAMES = (
     # Body: distances (m)

@@ -123,6 +123,11 @@ def _parse_header(obj, path):
         raise SequenceFormatError(f"label must be a string or null, got {label!r}", path, 1)
     if not isinstance(group_id, str):
         raise SequenceFormatError(f"group_id must be a string, got {group_id!r}", path, 1)
+    # every text file is read with '\r' as a line end, so a feature CSV cell
+    # holding one, quoted or not, would not read back as written
+    for name, text in (("label", label), ("group_id", group_id)):
+        if text and "\r" in text:
+            raise SequenceFormatError(f"{name} must not hold a carriage return, got {text!r}", path, 1)
     return fps, skel, label, group_id
 
 

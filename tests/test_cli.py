@@ -309,6 +309,20 @@ def test_extract_manifest_records_the_skeleton(ws, tmp_path):
     assert skeleton["joints"] == 15 and skeleton["optional_roles"] == ["left_elbow", "right_elbow"]
 
 
+def test_carriage_return_label_exit_2(ws, tmp_path, capsys):
+    # refused on input: the feature CSV would not read such a label back
+    lines = sorted((ws / "corpus").glob("*.jsonl"))[0].read_text().split("\n")
+    header = json.loads(lines[0])
+    header["label"] = "a\rb"
+    lines[0] = json.dumps(header)
+    bad = tmp_path / "cr.jsonl"
+    bad.write_text("\n".join(lines))
+    capsys.readouterr()
+    assert main(["--out", str(tmp_path / "o"), "extract", "--w", "10", str(bad)]) == 2
+    assert f"label must not hold a carriage return, got 'a\\rb' [{bad}:1]" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "features.csv").exists()
+
+
 @pytest.mark.parametrize("line", [0, 3])
 def test_deeply_nested_json_exit_2(ws, tmp_path, capsys, line):
     lines = sorted((ws / "corpus").glob("*.jsonl"))[0].read_text().split("\n")

@@ -544,13 +544,10 @@ def test_csv_round_trip(tmp_path):
     np.testing.assert_allclose(back.X, table.X, rtol=1e-8)
 
 
-@pytest.mark.parametrize("texts", [
-    ("a,b", 'say "hi"', "100%", "two\nlines", "", "plain", "%s %d"),
-    ("\r", "a\rb"),  # written as the csv module writes it, unquoted, so not read back
-])
-def test_csv_writer_bytes_match_the_csv_module(tmp_path, texts):
+def test_csv_writer_bytes_match_the_csv_module(tmp_path):
     # labels and group ids that need quoting, or a `%`, and values whose
     # text is easy to get wrong; None is written as an empty label
+    texts = ("a,b", 'say "hi"', "100%", "two\nlines", "", "plain", "%s %d")
     rng = np.random.default_rng(4)
     n = 2 * len(texts)
     X = rng.normal(0.0, 10.0 ** rng.integers(-5, 6, (n, 55)))
@@ -567,9 +564,8 @@ def test_csv_writer_bytes_match_the_csv_module(tmp_path, texts):
         writer.writerows([f"{v:.9g}" for v in x] + [label or "", group, start]
                          for x, label, group, start in zip(X.tolist(), labels, groups, table.starts.tolist()))
     assert path.read_bytes() == (tmp_path / "reference.csv").read_bytes()
-    if "\r" not in "".join(texts):
-        back = read_features_csv(path)
-        assert back.labels == tuple(label or None for label in labels) and back.groups == tuple(groups)
+    back = read_features_csv(path)
+    assert back.labels == tuple(label or None for label in labels) and back.groups == tuple(groups)
 
 
 def test_csv_header_only_reads_as_empty_table(tmp_path):

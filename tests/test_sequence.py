@@ -97,6 +97,24 @@ def test_non_meter_units_rejected(tmp_path):
         load_sequence(f)
 
 
+@pytest.mark.parametrize("field", ["label", "group_id"])
+@pytest.mark.parametrize("text", ["\r", "a\rb", "a\r\nb"])
+def test_carriage_return_in_label_or_group_rejected(tmp_path, field, text):
+    # every text file reads '\r' as a line end, so the feature CSV could not
+    # give such a label or group id back
+    f = tmp_path / "seq.jsonl"
+
+    def set_text(lines):
+        header = json.loads(lines[0])
+        header[field] = text
+        lines[0] = json.dumps(header)
+        return lines
+
+    _write_minimal_file(f, mutate=set_text)
+    with pytest.raises(SequenceFormatError, match=rf"^{field} must not hold a carriage return.*seq\.jsonl:1\]$"):
+        load_sequence(f)
+
+
 def test_round_trip(tmp_path):
     f = tmp_path / "a.jsonl"
     g = tmp_path / "b.jsonl"
