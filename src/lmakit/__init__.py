@@ -4,7 +4,7 @@ attribution."""
 
 __version__ = "0.1.0"
 
-from .explain import brute_shap, summary_rank, tree_shap
+from .explain import tree_shap
 from .features import (
     FEATURE_NAMES,
     FeatureTable,
@@ -27,15 +27,13 @@ from .forest import (
     stratified_group_kfold,
     train,
 )
-from .hull import convex_hull_facets, hull_volume
+from .hull import hull_volume
 from .kinematics import WindowConfig, derivative, windows
 from .sequence import JointSequence, load_sequence, save_sequence, validate_and_repair
 from .skeleton import SkeletonSpec, canonical_skeleton
 from .synth import Oscillator, StyleSpec, default_styles, generate, generate_corpus
 
 __all__ = [
-    "brute_shap",
-    "summary_rank",
     "tree_shap",
     "FEATURE_NAMES",
     "FeatureTable",
@@ -58,7 +56,6 @@ __all__ = [
     "predict_proba",
     "stratified_group_kfold",
     "train",
-    "convex_hull_facets",
     "hull_volume",
     "WindowConfig",
     "derivative",

@@ -179,15 +179,15 @@ def _lma_config(args, file_cfg, window=None):
             w=_resolved(args, file_cfg, "window.w", WINDOW, 55),
             stride=_resolved(args, file_cfg, "window.stride", STRIDE, 1),
         ),
-        initiation_scale=_resolved(args, file_cfg, "lma.initiation_scale", float, 1.0),
-        epsilon_net=_resolved(args, file_cfg, "lma.epsilon_net", float, 1e-3),
+        initiation_scale=_resolved(args, file_cfg, "lma.initiation_scale", _number(float, 0, strict=True), 1.0),
+        epsilon_net=_resolved(args, file_cfg, "lma.epsilon_net", _number(float, 0, strict=True), 1e-3),
     )
 
 
 def _forest_settings(args, file_cfg):
     """The `[forest]` settings that have no flag, as ForestParams fields."""
     return {
-        "features_per_split": _resolved(args, file_cfg, "forest.features_per_split", int, 8),
+        "features_per_split": _resolved(args, file_cfg, "forest.features_per_split", _number(int, 1), 8),
         "bootstrap": _resolved(args, file_cfg, "forest.bootstrap", bool, True),
     }
 
@@ -417,7 +417,8 @@ def cmd_eval(args, file_cfg, out):
     labels, codes = integer_codes(t.labels)
     unknown = [l for l in labels if l not in model.class_names]
     if unknown:
-        raise LmaError(f"{args.features}: labels not in the model's classes: {unknown}")
+        raise LmaError(f"{args.features}: labels not in the model's classes: {unknown} "
+                       f"(model {args.model})")
     y_true = np.array([model.class_names.index(l) for l in labels])[codes]
     y_pred = predict(model, t.X)
     if args.vote:

@@ -3,18 +3,13 @@
 `tree_shap` runs the polynomial-time path recursion (Lundberg et al. 2020,
 Algorithm 2) over the leaf paths of runs of trees, for all rows at once,
 using node covers (training sample counts) to weight conditional
-expectations.
-`brute_shap` is its exponential-time oracle: the textbook Shapley sum over
-all feature subsets, with the same cover-weighted expectation, walking the
-nested-dict trees.  Both target the probability output, so attributions
-plus the base value reproduce predict_proba exactly (local accuracy).
+expectations.  It targets the probability output, so attributions plus
+the base value reproduce predict_proba exactly (local accuracy).
 `write_explanations_csv` writes one line per instance, class and feature in
 blocks of instances, formatting each distinct phi of a block once.
 """
 
 from dataclasses import dataclass
-from itertools import combinations
-from math import factorial
 
 import numpy as np
 
@@ -185,71 +180,6 @@ def tree_shap(model, X):
     )
 
 
-def _leaf_distribution(node):
-    counts = np.asarray(node["counts"], dtype=float)
-    total = counts.sum()
-    return counts / total if total > 0 else counts
-
-
-def _cond_exp(node, x, subset):
-    """Cover-weighted conditional expectation given the features in `subset`."""
-    if "feature" not in node:
-        return _leaf_distribution(node)
-    f = node["feature"]
-    if f in subset:
-        child = node["left"] if x[f] <= node["threshold"] else node["right"]
-        return _cond_exp(child, x, subset)
-    cl = node["left"]["cover"]
-    cr = node["right"]["cover"]
-    return (
-        cl * _cond_exp(node["left"], x, subset) + cr * _cond_exp(node["right"], x, subset)
-    ) / (cl + cr)
-
-
-def _used_in_tree(node, acc):
-    if "feature" in node:
-        acc.add(node["feature"])
-        _used_in_tree(node["left"], acc)
-        _used_in_tree(node["right"], acc)
-
-
-def brute_shap(model, x, max_features=12):
-    """Exhaustive-subset Shapley values; the oracle for tree_shap.
-
-    Only valid for models whose trees use at most `max_features` distinct
-    split features (2^m subsets per tree).
-    """
-    x = np.asarray(x, dtype=float)
-    used_all = model.used_features()
-    if len(used_all) > max_features:
-        raise LmaError(
-            f"brute_shap limited to {max_features} distinct features, model uses {len(used_all)}"
-        )
-    phi = np.zeros((model.n_features, model.n_classes))
-    for tree in model.trees:
-        used = set()
-        _used_in_tree(tree, used)
-        used = sorted(used)
-        m = len(used)
-        if m == 0:
-            continue
-        cache = {}
-
-        def v(subset):
-            key = frozenset(subset)
-            if key not in cache:
-                cache[key] = _cond_exp(tree, x, key)
-            return cache[key]
-
-        for i in used:
-            rest = [f for f in used if f != i]
-            for size in range(m):
-                wgt = factorial(size) * factorial(m - size - 1) / factorial(m)
-                for S in combinations(rest, size):
-                    phi[i] += wgt * (v(set(S) | {i}) - v(set(S)))
-    return (phi / len(model.trees)).T
-
-
 def _stacked(explanation):
     """phi of `explanation` as (rows, classes, features); refuses zero rows."""
     phi = explanation.phi if explanation.phi.ndim == 3 else explanation.phi[None]
@@ -270,11 +200,6 @@ def rank_features(names, mean_abs):
     to the lower index."""
     order = np.lexsort((np.arange(len(names)), -mean_abs))
     return [(int(i), names[i], float(mean_abs[i])) for i in order]
-
-
-def summary_rank(explanation):
-    """Features ranked by mean |phi| across instances and classes."""
-    return rank_features(explanation.feature_names, mean_abs_phi(explanation)[1])
 
 
 _LINES = 1 << 13  # at most this many lines are written from one block's distinct phi

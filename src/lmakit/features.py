@@ -14,6 +14,7 @@ slots through FEATURE_NAMES.
 """
 
 import csv
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -130,10 +131,9 @@ class LmaConfig:
     epsilon_net: float = 1e-3
 
     def __post_init__(self):
-        if self.initiation_scale <= 0:
-            raise LmaError("initiation_scale must be > 0")
-        if self.epsilon_net <= 0:
-            raise LmaError("epsilon_net must be > 0")
+        for name in ("initiation_scale", "epsilon_net"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise LmaError(f"{name} must be finite and > 0")
 
 
 @dataclass(frozen=True)

@@ -521,7 +521,6 @@ class ForestModel:
     params: ForestParams
     feature_names: tuple
     class_names: tuple
-    format_version: int = MODEL_FORMAT_VERSION
 
     @property
     def n_classes(self):
@@ -536,14 +535,9 @@ class ForestModel:
         """The trees as one `FlatForest`, built on first use."""
         return FlatForest.from_trees(self.trees, self.n_features, self.n_classes)
 
-    def used_features(self):
-        """Sorted distinct feature indices appearing in any split."""
-        f = self.flat.feature
-        return np.unique(f[f >= 0]).tolist()
-
     def to_json(self):
         payload = {
-            "format_version": self.format_version,
+            "format_version": MODEL_FORMAT_VERSION,
             "params": asdict(self.params),
             "class_names": list(self.class_names),
             "feature_names": list(self.feature_names),

@@ -147,17 +147,6 @@ def _checked(points):
     return pts
 
 
-def convex_hull_facets(points):
-    """Outward-oriented triangular facets (index triples) of the hull.
-
-    Returns None when the point set is degenerate (volume 0).
-    """
-    triangles = _hull_triangles(_checked(points))
-    if triangles is None:
-        return None
-    return [tuple(int(i) for i in tri) for tri in triangles]
-
-
 def hull_volume(points):
     """Volume of the convex hull, by signed tetrahedra from the centroid of
     the hull's vertices."""

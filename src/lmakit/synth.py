@@ -86,7 +86,10 @@ def _warped_clock(t, dt, spec):
 
 def generate(spec, duration, fps=60.0, seed=0):
     """One labeled sequence on the canonical 13-joint skeleton."""
-    T = int(round(duration * fps))
+    frames = duration * fps
+    if not math.isfinite(frames):
+        raise LmaError(f"duration * fps = {frames} frames is not a finite count")
+    T = int(round(frames))
     if T < 2:
         raise LmaError("duration * fps must give at least 2 frames")
     skel = canonical_skeleton()

@@ -2,7 +2,8 @@
 
 The oracles here deliberately avoid the library's own code paths: the
 pinball oracle enumerates interpolating pairs, the hull oracle enumerates
-facet triples, the Shapley oracle enumerates feature subsets.
+facet triples, the Shapley oracle enumerates feature subsets, and
+`brute_shap` feeds it each saved tree's conditional expectations.
 """
 
 import numpy as np
@@ -89,6 +90,45 @@ def subset_shapley_oracle(value_fn, features):
                 total = total + w * (value_fn(frozenset(S) | {f}) - value_fn(frozenset(S)))
         phi[f] = total
     return phi
+
+
+def _split_features(node):
+    if "feature" not in node:
+        return set()
+    return {node["feature"]} | _split_features(node["left"]) | _split_features(node["right"])
+
+
+def _cond_exp(node, x, subset):
+    """Cover-weighted conditional expectation of a saved (nested-dict) tree
+    at `x`, given the features in `subset`; an empty leaf gives zeros."""
+    if "feature" not in node:
+        counts = np.asarray(node["counts"], dtype=float)
+        total = counts.sum()
+        return counts / total if total > 0 else counts
+    f = node["feature"]
+    if f in subset:
+        return _cond_exp(node["left"] if x[f] <= node["threshold"] else node["right"], x, subset)
+    cl, cr = node["left"]["cover"], node["right"]["cover"]
+    return (cl * _cond_exp(node["left"], x, subset) + cr * _cond_exp(node["right"], x, subset)) / (cl + cr)
+
+
+def brute_shap(model, x):
+    """Exhaustive-subset Shapley values of predict_proba at `x`, shape
+    (n_classes, n_features): `subset_shapley_oracle` over each tree's
+    conditional expectations, cached per subset, averaged over the trees.
+    It walks the saved dict trees, not the library's node arrays."""
+    phi = np.zeros((model.n_classes, model.n_features))
+    for tree in model.trees:
+        cache = {}
+
+        def value(subset):
+            if subset not in cache:
+                cache[subset] = _cond_exp(tree, x, subset)
+            return cache[subset]
+
+        for f, tree_phi in subset_shapley_oracle(value, sorted(_split_features(tree))).items():
+            phi[:, f] += tree_phi
+    return phi / len(model.trees)
 
 
 @pytest.fixture(scope="session")

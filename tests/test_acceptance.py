@@ -14,12 +14,13 @@ import pytest
 import conftest
 from conftest import (
     brute_hull_volume,
+    brute_shap,
     make_sequence,
     pair_enumeration_pinball_oracle,
     static_pose_positions,
 )
 from lmakit.cli import main as cli_main
-from lmakit.explain import brute_shap, tree_shap
+from lmakit.explain import tree_shap
 from lmakit.features import (
     FEATURE_NAMES,
     FeatureTable,

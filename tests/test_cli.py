@@ -1,12 +1,15 @@
+import contextlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from forest_reference import flat_from_trees, vote_by_group
@@ -394,6 +397,17 @@ def test_eval_refuses_labels_outside_model_classes(ws, tmp_path, capsys):
     assert f"error: {path}: labels not in the model's classes: ['tango']" in capsys.readouterr().err
 
 
+def test_eval_names_the_model_whose_classes_lack_a_label(ws, tmp_path, capsys):
+    # the labels are good but the model's class list was edited: the
+    # message names both files, as either may be the wrong one
+    payload = json.loads((ws / "model" / "model.json").read_text())
+    payload["class_names"][0] = "tango"
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(payload))
+    assert main(["--out", str(tmp_path / "o"), "eval", str(model), str(ws / "feats" / "features.csv")]) == 2
+    assert f"labels not in the model's classes: ['arc'] (model {model})" in capsys.readouterr().err
+
+
 def test_metrics_macro_row_has_total_support(ws, tmp_path):
     import csv as _csv
 
@@ -693,6 +707,10 @@ def test_sweep_honours_lma_and_forest_config(ws, tmp_path, monkeypatch):
     ("sweep", "forest", "features_per_split", "x"),
     ("train", "forest", "features_per_split", "x"),
     ("train", "forest", "bootstrap", "maybe"),
+    ("extract", "lma", "initiation_scale", "nan"),
+    ("extract", "lma", "initiation_scale", "inf"),
+    ("extract", "lma", "epsilon_net", "nan"),
+    ("train", "forest", "features_per_split", "0"),
 ])
 def test_bad_config_value_exit_2(ws, tmp_path, capsys, command, section, key, value):
     cfg = tmp_path / "cfg.ini"
@@ -704,6 +722,12 @@ def test_bad_config_value_exit_2(ws, tmp_path, capsys, command, section, key, va
     assert rc == 2
     err = capsys.readouterr().err
     assert "cfg.ini" in err and f"{section}.{key}" in err
+
+
+def test_synth_frame_count_beyond_a_float_exit_2(tmp_path, capsys):
+    # each flag is a finite float, but their product is not
+    assert main(["--out", str(tmp_path / "o"), "synth", "--duration", "1e300", "--fps", "1e300"]) == 2
+    assert "not a finite count" in capsys.readouterr().err
 
 
 def test_config_without_section_header_exit_2(ws, tmp_path, capsys):
@@ -915,6 +939,79 @@ def test_unreadable_input_exit_2(ws, tmp_path, capsys, kind, fault):
     assert main(["--out", str(tmp_path / "o"), *_hostile_argv(ws, kind, str(path))]) == 2
     assert capsys.readouterr().err.startswith(f"error: {path}: ")
     assert not (tmp_path / "o" / "manifest.json").exists()
+
+
+# --- hostile-input fuzzing ------------------------------------------------------
+
+
+def _fuzz_argv(ws, command, path):
+    """argv running `command` with its mutated input at `path`."""
+    model, feats = str(ws / "model" / "model.json"), str(ws / "feats" / "features.csv")
+    return {
+        "extract": ["extract", "--w", "10", "--stride", "10", path],
+        "train": ["train", path, "--n-trees", "2", "--max-depth", "3", "--min-samples-leaf", "1"],
+        "eval-features": ["eval", model, path],
+        "explain-features": ["explain", model, path],
+        "eval-model": ["eval", path, feats],
+        "explain-model": ["explain", path, feats],
+        "floor": ["floor", path],
+    }[command]
+
+
+FUZZ_INPUT = {
+    "extract": GOOD_INPUT["sequence"],
+    "train": GOOD_INPUT["train-features"],
+    "eval-features": GOOD_INPUT["eval-features"],
+    "explain-features": GOOD_INPUT["explain-features"],
+    "eval-model": GOOD_INPUT["model"],
+    "explain-model": GOOD_INPUT["model"],
+    "floor": lambda ws: "".join(f"0 {0.1 * d + 0.01 * (d % 3):.3f} {d:.3f}\n" for d in np.linspace(0, 4, 40)).encode(),
+}
+HOSTILE_TOKENS = [b"NaN", b"Infinity", b"-Infinity", b"1e999", b"9" * 400, b"[" * 100_000,
+                  b"\x00", b"\xff", b"\r"]
+NUMBER = re.compile(rb"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
+MUTATION = st.one_of(
+    st.tuples(st.just("flip"), st.integers(0, 1 << 16), st.integers(1, 255)),
+    st.tuples(st.just("truncate"), st.integers(0, 1 << 16)),
+    st.tuples(st.just("insert"), st.integers(0, 1 << 16), st.sampled_from(HOSTILE_TOKENS)),
+    st.tuples(st.just("number"), st.integers(0, 1 << 16), st.sampled_from(HOSTILE_TOKENS)),
+)
+
+
+def _mutated(data, mutation):
+    """`data` with one byte flipped, cut short, or a token inserted or put
+    in place of a number; `at` is taken modulo the length."""
+    op, at, *arg = mutation
+    if op == "number":
+        numbers = list(NUMBER.finditer(data))
+        if not numbers:
+            return data
+        number = numbers[at % len(numbers)]
+        return data[:number.start()] + arg[0] + data[number.end():]
+    at %= max(len(data), 1)
+    if op == "flip":
+        return data[:at] + bytes([data[at] ^ arg[0]]) + data[at + 1:] if data else data
+    if op == "truncate":
+        return data[:at]
+    return data[:at] + arg[0] + data[at:]
+
+
+@settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(command=st.sampled_from(list(FUZZ_INPUT)), mutations=st.lists(MUTATION, min_size=1, max_size=3))
+def test_hostile_input_exits_0_or_2_naming_the_file(ws, command, mutations):
+    # a mutated input is either used or refused as a data error naming it;
+    # it never escapes as an internal error (exit 3)
+    data = FUZZ_INPUT[command](ws)
+    for mutation in mutations:
+        data = _mutated(data, mutation)
+    path = ws / "fuzz" / f"input-{command}"
+    path.parent.mkdir(exist_ok=True)
+    path.write_bytes(data)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        rc = main(["--out", str(ws / "fuzz" / "out"), *_fuzz_argv(ws, command, str(path))])
+    assert rc in (0, 2), err.getvalue()
+    assert rc == 0 or str(path) in err.getvalue(), err.getvalue()
 
 
 @pytest.mark.parametrize("out", ["afile", "afile/sub"])

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import subset_shapley_oracle
+from conftest import brute_shap
 from forest_reference import (
     per_row_tree_shap,
     random_forest,
@@ -17,8 +17,8 @@ from lmakit.explain import (
     _RUN,
     ShapExplanation,
     _runs,
-    brute_shap,
-    summary_rank,
+    mean_abs_phi,
+    rank_features,
     tree_shap,
     write_explanations_csv,
     write_summary_csv,
@@ -119,29 +119,9 @@ def test_matches_brute_subset_oracle(seed):
 
 
 def test_matches_conftest_oracle_single_tree():
-    # independent oracle from conftest with an inline value function, not
-    # the package's own brute_shap
     model, data = _small_forest(seed=3, n_trees=1, max_depth=3)
-    tree = model.trees[0]
     x = data.X[7]
-
-    def cond_exp(node, subset):
-        if "feature" not in node:
-            counts = np.asarray(node["counts"], dtype=float)
-            return counts / counts.sum()
-        f = node["feature"]
-        if f in subset:
-            child = node["left"] if x[f] <= node["threshold"] else node["right"]
-            return cond_exp(child, subset)
-        cl, cr = node["left"]["cover"], node["right"]["cover"]
-        return (cl * cond_exp(node["left"], subset) + cr * cond_exp(node["right"], subset)) / (cl + cr)
-
-    used = sorted(model.used_features())
-    oracle = subset_shapley_oracle(lambda S: cond_exp(tree, S), used)
-    exp = tree_shap(model, x)
-    for f in range(model.n_features):
-        expected = oracle.get(f, np.zeros(model.n_classes))
-        np.testing.assert_allclose(exp.phi[:, f], expected, atol=1e-9)
+    np.testing.assert_allclose(tree_shap(model, x).phi, brute_shap(model, x), atol=1e-9)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -152,15 +132,6 @@ def test_local_accuracy(seed):
         np.testing.assert_allclose(
             exp.prediction(), predict_proba(model, x)[0], atol=1e-9
         )
-
-
-def test_brute_shap_refuses_wide_models():
-    model, _ = _small_forest(seed=0, n_trees=30, max_depth=8, n_features=20, n_per=60)
-    if len(model.used_features()) > 12:
-        with pytest.raises(LmaError):
-            brute_shap(model, np.zeros(20))
-    else:
-        pytest.skip("forest happened to stay narrow")
 
 
 def test_tree_shap_input_validation():
@@ -199,7 +170,8 @@ def _fake_explanation():
 
 
 def test_summary_rank_mean_abs_ordering():
-    ranking = summary_rank(_fake_explanation())
+    e = _fake_explanation()
+    ranking = rank_features(e.feature_names, mean_abs_phi(e)[1])
     # mean |phi|: f0 = 0.15, f1 = 0.2, f2 = 0
     assert [r[1] for r in ranking] == ["f1", "f0", "f2"]
     assert ranking[0][2] == pytest.approx(0.2)
@@ -212,7 +184,7 @@ def test_summary_rank_tie_breaks_by_index():
         phi=np.array([[0.2, 0.2]]), base=np.array([0.5]), x=np.zeros(2),
         class_names=("a",), feature_names=names,
     )
-    ranking = summary_rank(e)
+    ranking = rank_features(names, mean_abs_phi(e)[1])
     assert [r[1] for r in ranking] == ["f0", "f1"]
 
 
@@ -222,7 +194,7 @@ def test_summary_rank_empty_raises():
         class_names=("a", "b"), feature_names=("f0", "f1", "f2"),
     )
     with pytest.raises(LmaError):
-        summary_rank(empty)
+        mean_abs_phi(empty)
 
 
 def test_csv_writers(tmp_path):
@@ -230,7 +202,7 @@ def test_csv_writers(tmp_path):
     p1 = tmp_path / "explanations.csv"
     p2 = tmp_path / "summary.csv"
     write_explanations_csv(exp, p1)
-    write_summary_csv(summary_rank(exp), p2)
+    write_summary_csv(rank_features(exp.feature_names, mean_abs_phi(exp)[1]), p2)
     lines = p1.read_text(encoding="utf-8").strip().split("\n")
     assert lines[0] == "instance,class,feature,phi,base"
     assert len(lines) == 1 + 2 * 2 * 3

@@ -131,6 +131,13 @@ def test_effort_space_window_too_short():
         _effort_space_ratios(track, np.array([0]), 2, 2, 1e-3)
 
 
+@pytest.mark.parametrize("key", ["initiation_scale", "epsilon_net"])
+@pytest.mark.parametrize("value", [0.0, -1.0, np.nan, np.inf])
+def test_lma_config_refuses_non_positive_and_non_finite(key, value):
+    with pytest.raises(LmaError, match=key):
+        _cfg(**{key: value})
+
+
 def test_effort_space_total_weighted_sum():
     # all joints stationary except a straight-line left hand (ratio 1);
     # stationary joints contribute ratio 0 by convention

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import brute_hull_volume, static_pose_positions
 from lmakit.errors import LmaError
-from lmakit.hull import convex_hull_facets, hull_volume
+from lmakit.hull import _hull_triangles, hull_volume
 
 CUBE = np.array([[x, y, z] for x in (0, 1) for y in (0, 1) for z in (0, 1)], float)
 # the centre of every cube face and the midpoint of four edges: coplanar with
@@ -48,7 +48,7 @@ def test_interior_points_do_not_change_volume():
 def test_points_on_cube_faces_merge_into_one_face():
     pts = np.vstack([CUBE_FACE_POINTS, CUBE])  # face points first, corners last
     assert hull_volume(pts) == 1.0
-    facets = convex_hull_facets(pts)
+    facets = _hull_triangles(pts)
     assert len(facets) == 12  # two triangles per square face
     assert {i for tri in facets for i in tri} == set(range(10, 18))  # corners only
     _assert_outward_and_watertight(pts, facets)
@@ -60,13 +60,13 @@ def test_duplicated_points():
     pts = rng.normal(size=(13, 3))
     doubled = np.vstack([pts, pts[[2, 7, 7, 11]]])
     assert hull_volume(doubled) == pytest.approx(hull_volume(pts), abs=1e-12)
-    _assert_outward_and_watertight(doubled, convex_hull_facets(doubled))
+    _assert_outward_and_watertight(doubled, _hull_triangles(doubled))
 
 
 def test_many_points_span_several_triple_blocks():
     pts = np.random.default_rng(5).normal(size=(40, 3))  # C(40, 3) = 9880 triples
     assert hull_volume(pts) == pytest.approx(brute_hull_volume(pts), abs=1e-9)
-    _assert_outward_and_watertight(pts, convex_hull_facets(pts))
+    _assert_outward_and_watertight(pts, _hull_triangles(pts))
 
 
 @settings(max_examples=60, deadline=None)
@@ -94,7 +94,7 @@ def test_degenerate_cases_are_zero():
     flat_pose = static_pose_positions(1)[0]
     flat_pose[:, 2] = 0.0  # a 13-joint frame squashed into the x-y plane
     assert hull_volume(flat_pose) == 0.0
-    assert convex_hull_facets(flat_pose) is None
+    assert _hull_triangles(flat_pose) is None
 
 
 @pytest.mark.parametrize(
@@ -105,18 +105,16 @@ def test_degenerate_cases_are_zero():
 def test_bad_input_raises(points):
     with pytest.raises(LmaError):
         hull_volume(points)
-    with pytest.raises(LmaError):
-        convex_hull_facets(points)
 
 
 def test_facets_are_outward_and_watertight():
     rng = np.random.default_rng(2)
     pts = rng.normal(size=(25, 3))
-    _assert_outward_and_watertight(pts, convex_hull_facets(pts))
+    _assert_outward_and_watertight(pts, _hull_triangles(pts))
 
 
 def test_cube_facets_are_outward_and_watertight():
-    facets = convex_hull_facets(CUBE)
+    facets = _hull_triangles(CUBE)
     assert len(facets) == 12
     _assert_outward_and_watertight(CUBE, facets)
 
