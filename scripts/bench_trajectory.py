@@ -15,15 +15,27 @@ seeds with the summed `correct`, `attempted` and `failed` counts, and the
 per-layer medians of the traced run; and, for the whole file, the
 checkout's git revision, `nproc`, and the Python and numpy versions that
 ran it.
+
+It also records two standard-corpus figures of the checkout, each over 3
+runs in one subprocess (`--standard-figures` prints them as JSON):
+- the seconds of one 20-tree depth-12 fit on the standard-corpus features
+  (10 styles x 6 sequences x 1200 frames at 60 fps, master seed 42, w=55,
+  stride 5, as acceptance criterion 1 builds them);
+- the seconds of `lmakit train` on the CLI default grid over the features
+  of the bench `train` workload at seed 1.
 """
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import platform
 import statistics
 import subprocess
 import sys
+import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +44,7 @@ ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("train", "explain")
 SEEDS = (1, 2, 3)  # at least 3, for quartiles
 SECONDS = 40.0
+REPEATS = 3  # runs of each standard-corpus figure
 
 
 def _git(checkout, *args):
@@ -74,11 +87,72 @@ def _workload(checkout, workload):
     }
 
 
+def _timed(fn):
+    times = []
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - start)
+    return _spread(times)
+
+
+def _standard_figures():
+    """The standard-corpus figures of the lmakit under the working directory."""
+    sys.path[:0] = [str(Path.cwd() / "src"), str(Path.cwd() / "bench")]
+    from inputs import make_corpus
+    from run import WORKLOADS as BENCH_WORKLOADS
+
+    from lmakit.cli import main
+    from lmakit.features import (FEATURE_NAMES, FeatureTable, LmaConfig, SequencePrimitives,
+                                 assemble_features)
+    from lmakit.forest import Dataset, ForestParams, train
+    from lmakit.kinematics import WindowConfig
+    from lmakit.synth import default_styles, generate_corpus
+
+    cfg = LmaConfig(window=WindowConfig(w=55, stride=5))
+    table = FeatureTable.concat(
+        assemble_features(seq, cfg=cfg, primitives=SequencePrimitives(seq))
+        for seq in generate_corpus(default_styles(), per_style=6, duration=20.0, fps=60.0,
+                                   master_seed=42))
+    data = Dataset.from_labels(table.X, table.labels, table.groups, FEATURE_NAMES)
+    fit = _timed(lambda: train(data, ForestParams(n_trees=20, max_depth=12, seed=0)))
+
+    def cli(*argv):
+        if main([str(a) for a in argv]) != 0:
+            sys.exit(f"lmakit {' '.join(map(str, argv))} failed")
+
+    wl = BENCH_WORKLOADS["train"]
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+        corpus = make_corpus(Path(tmp, "corpus"), 1, wl.frames)
+        cli("--seed", 1, "--out", f"{tmp}/extract", "extract", "--w", wl.w, "--stride", wl.stride,
+            "--cloud", corpus.cloud, *(s.path for s in corpus.sequences))
+        features = Path(tmp, "extract", "features.csv")
+        grid = _timed(lambda: cli("--seed", 1, "--out", f"{tmp}/train", "train", features))
+        grid_rows = len(features.read_text(encoding="utf-8").splitlines()) - 1
+    return {"fit_20_trees_depth_12_s": {"rows": len(data.y), **fit},
+            "train_default_grid_s": {"rows": grid_rows, **grid}}
+
+
+def _standard(checkout):
+    argv = [sys.executable, str(Path(__file__).resolve()), "--standard-figures"]
+    print("running standard-corpus figures", file=sys.stderr, flush=True)
+    run = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
+    if run.returncode != 0:
+        sys.exit(f"standard-corpus figures exited {run.returncode}:\n{run.stderr}")
+    return json.loads(run.stdout)
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--checkout", type=Path, default=ROOT,
                         help="git checkout whose bench/run.py and src/ are measured")
+    parser.add_argument("--standard-figures", action="store_true",
+                        help="print the standard-corpus figures of the lmakit under the working "
+                             "directory as JSON, and nothing else")
     args = parser.parse_args(argv)
+    if args.standard_figures:
+        print(json.dumps(_standard_figures()))
+        return 0
 
     checkout = args.checkout.resolve()
     revision = _git(checkout, "rev-parse", "HEAD")
@@ -91,6 +165,7 @@ def main(argv=None):
         "numpy": np.__version__,
         "seconds": SECONDS,
         "workloads": {w: _workload(checkout, w) for w in WORKLOADS},
+        "standard_corpus": _standard(checkout),
     }
     path = ROOT / f"BENCH_{revision[:7]}{'-dirty' if dirty else ''}.json"
     path.write_text(json.dumps(payload, indent=1) + "\n", encoding="utf-8")

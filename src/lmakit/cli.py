@@ -255,6 +255,14 @@ def _load_sequences(paths, max_gap=6):
     return seqs
 
 
+def _primitives(path, seq):
+    """The per-frame primitives of the sequence read from `path`; a refusal names the file."""
+    try:
+        return features.SequencePrimitives(seq)
+    except LmaError as e:
+        raise LmaError(f"{path}: {e}") from e
+
+
 def _floor_for(args, notes):
     notes["floor"] = "fitted-from-cloud" if args.cloud else "assumed-flat"
     return _fit_cloud(args.cloud, tau=args.tau) if args.cloud else flat_floor()
@@ -266,8 +274,8 @@ def cmd_extract(args, file_cfg, out):
     plane = _floor_for(args, notes)
     seqs = _load_sequences(args.sequences)
     tables, degenerate = [], 0
-    for seq in seqs:
-        prim = features.SequencePrimitives(seq)
+    for path, seq in zip(args.sequences, seqs):
+        prim = _primitives(path, seq)
         degenerate += int(np.count_nonzero(prim.volume == 0.0))
         tables.append(assemble_features(seq, plane=plane, cfg=cfg, primitives=prim))
     table = FeatureTable.concat(tables)
@@ -442,7 +450,7 @@ def cmd_sweep(args, file_cfg, out):
     forest = _forest_settings(args, file_cfg)
     params = ForestParams(n_trees=args.n_trees, max_depth=args.max_depth,
                           min_samples_leaf=args.min_samples_leaf, seed=args.seed, **forest)
-    prims = [features.SequencePrimitives(s) for s in seqs]
+    prims = [_primitives(p, s) for p, s in zip(args.sequences, seqs)]
     results = []
     for cfg in cfgs:
         w = cfg.window.w
@@ -492,7 +500,7 @@ def cmd_kinplot(args, file_cfg, out):
     w = _resolved(args, file_cfg, "window.w", WINDOW, 55)
     if seq.n_frames < w:
         raise LmaError(f"sequence shorter than window ({seq.n_frames} < {w})")
-    prim = features.SequencePrimitives(seq)
+    prim = _primitives(args.sequence, seq)
     skel = seq.skeleton
     sel = [skel.index(r) for r in SELECTED_JOINTS]
     mean_speed = prim.speed[:, sel].mean(axis=1)

@@ -194,8 +194,13 @@ def _angle_at(a, b, c):
 
 class SequencePrimitives:
     """Per-frame quantities computed once per sequence and shared across
-    window sizes (derivatives, distances, angles, hull volumes, ...)."""
+    window sizes (derivatives, distances, angles, hull volumes, ...).
 
+    Finite coordinates can still overflow a float here (a coordinate of
+    1e300, or an fps of 1e300 in the derivatives), so the quantities are
+    computed with overflow ignored and any that is not finite is refused."""
+
+    @np.errstate(over="ignore", invalid="ignore")
     def __init__(self, seq):
         seq.require_finite()
         skel = seq.skeleton
@@ -264,6 +269,10 @@ class SequencePrimitives:
         cross = np.cross(pv, pa)
         speed3 = np.maximum(np.linalg.norm(pv, axis=1) ** 3, _CURVATURE_SPEED_FLOOR)
         self.pelvis_curvature = np.linalg.norm(cross, axis=1) / speed3
+        overflowed = [name for name, value in vars(self).items() if not np.isfinite(value).all()]
+        if overflowed:
+            raise LmaError(f"per-frame {', '.join(overflowed)} not finite: "
+                           "coordinates or fps too large")
 
 
 def _initiation_predicates(seq, role, cfg):

@@ -2,17 +2,17 @@
 plus grouped stratified k-fold CV, grid search and per-class metrics.
 
 Trees store per-node training sample counts ("cover") so that attribution
-code can weight conditional expectations without revisiting the data.
-Trees are grown and saved as nested dicts; prediction and attribution read
-one flat-array view of them (`FlatForest`), built and checked once per model.
+code can weight conditional expectations without revisiting the data.  A
+tree is node arrays (`FlatForest`) from growth on; nested dicts are only
+`model.json`'s form, written by `ForestModel.to_json` and read by `load`.
 
 Tree i of a forest draws from its own stream, seeded by (seed, i), so the
 grid search grows each fold's trees once for the whole lattice: one
 `_grow_tree` call grows tree i for every (max_depth, min_samples_leaf) pair
 at once, sharing the nodes where the pairs agree, and a k-tree point is
 scored from the running sum of its first k trees' leaf values, read off each
-nested-dict tree as it is grown.  Every fold accuracy and prediction equals
-that of a separate fit of the point.
+tree by `predict_proba`'s descent as it is grown.  Every fold accuracy and
+prediction equals that of a separate fit of the point.
 """
 
 import bisect
@@ -20,7 +20,7 @@ import copy
 import json
 import math
 from dataclasses import asdict, dataclass, fields, replace
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import chain, compress, product
 from numbers import Integral, Real
 
@@ -165,7 +165,8 @@ def _best_split(X, idx, feats, node_codes, totals, min_leafs):
 
 def _grow_tree(X, codes, n_classes, features_per_split, bootstrap, variants, rng):
     """One tree for each (max_depth, min_samples_leaf) pair in `variants`,
-    each equal to the tree grown for that pair alone from `rng`.
+    each equal to the tree grown for that pair alone from `rng`, as a list
+    of node records in preorder (read by `FlatForest.from_records`).
 
     The variants that reach a node with the same rows and generator state
     share its class count, its feature draw and one split search.  Where
@@ -192,8 +193,9 @@ def _grow_tree(X, codes, n_classes, features_per_split, bootstrap, variants, rng
         totals = np.bincount(node_codes, minlength=n_classes)
         n = len(idx)
         grow = [v for v in group if n >= 2 * min_leaf[v] and depth < depth_cap[v]]
+        leaf = [(-1, math.inf, n, totals.tolist(), depth, 0)]
         if not grow or np.count_nonzero(totals) < 2:
-            return [{"counts": totals.tolist(), "cover": n}] * len(group)
+            return [leaf] * len(group)
         rng = gen[group[0]]
         if len(grow) < len(group):
             # the variants that stop here keep the state from before the feature draw
@@ -211,7 +213,6 @@ def _grow_tree(X, codes, n_classes, features_per_split, bootstrap, variants, rng
         for split, part in parts.items():
             if split is not None:
                 nodes.update(zip(part, split_node(idx, depth, part, *split[1:])))
-        leaf = {"counts": totals.tolist(), "cover": n}
         return [nodes.get(v, leaf) for v in group]
 
     def split_node(idx, depth, part, f, thr):
@@ -228,7 +229,7 @@ def _grow_tree(X, codes, n_classes, features_per_split, bootstrap, variants, rng
             for vs in on.values():
                 by_variant.update(zip(vs, build(idx[~mask], depth + 1, vs)))
             right = [by_variant[v] for v in part]
-        return [{"feature": f, "threshold": thr, "cover": len(idx), "left": l, "right": r}
+        return [[(f, thr, len(idx), [0] * n_classes, depth, len(l)), *l, *r]
                 for l, r in zip(left, right)]
 
     n = X.shape[0]
@@ -328,17 +329,17 @@ class LeafPaths:
 
 @dataclass(frozen=True)
 class FlatForest:
-    """Every tree of a forest as parallel node arrays, each tree in preorder.
+    """Every tree of a forest as parallel node arrays, each tree in preorder,
+    built from growth (`from_records`) or from a model file (`from_trees`).
 
     Node i sends rows with ``x[feature[i]] <= threshold[i]`` to ``left[i]``
     and the rest to ``right[i]``; ``cover[i]`` counts its training samples.
     A leaf has feature -1, threshold +inf and itself as both children, so a
-    descent that reaches it stays there; ``value`` holds the leaves' class
-    distributions (zero rows at splits).  ``roots`` and ``depth`` give each
-    tree's root node and depth, and ``base`` is the forest's expected output,
-    the cover-weighted mean leaf value averaged over trees (the SHAP base).
-    ``tree_shapes`` and ``leaf_paths`` give TreeSHAP each tree's size and
-    the `LeafPaths` of a run of trees, each built on first use and kept.
+    descent that reaches it stays there; ``counts`` holds the leaves' class
+    counts (zero rows at splits).  ``roots`` and ``depth`` give each tree's
+    root node and depth.  Built on first use and kept: the leaves' class
+    distributions ``value``, the SHAP base ``base`` (each tree's cover-weighted
+    mean leaf value, averaged over trees), ``tree_shapes`` and ``leaf_paths``.
     """
 
     feature: np.ndarray
@@ -346,10 +347,22 @@ class FlatForest:
     left: np.ndarray
     right: np.ndarray
     cover: np.ndarray
-    value: np.ndarray
+    counts: np.ndarray
     roots: np.ndarray
     depth: np.ndarray
-    base: np.ndarray
+
+    @staticmethod
+    def from_records(trees):
+        """The forest of `_grow_tree`'s trees, each a preorder list of
+        (feature, threshold, cover, class counts, level, left subtree size)
+        node records."""
+        feature, threshold, cover, counts, level, left_size = map(
+            np.array, zip(*chain.from_iterable(trees)))
+        index, split = np.arange(len(feature)), feature >= 0
+        roots = np.cumsum([0] + [len(tree) for tree in trees[:-1]])
+        return FlatForest(feature, threshold, np.where(split, index + 1, index),  # preorder: left follows
+                          np.where(split, index + 1 + left_size, index), cover.astype(float),
+                          counts.astype(float), roots, np.maximum.reduceat(level, roots))
 
     @staticmethod
     def from_trees(trees, n_features, n_classes):
@@ -424,27 +437,39 @@ class FlatForest:
                     f"{'child covers' if split[i] else 'class counts'} do not add up to its cover")
             raise SchemaError(f"tree {t} node {i - roots[t]}: {what}")
 
-        value = np.zeros_like(counts)
-        covered = ~split & (cover > 0)
-        value[covered] = counts[covered] / cover[covered, None]
+        return FlatForest(feature, threshold, left, right, cover, counts, roots,
+                          np.maximum.reduceat(level, roots))
+
+    @cached_property
+    def value(self):
+        cover = self.cover[:, None]  # splits have zero counts; an empty leaf gets zeros
+        return np.divide(self.counts, cover, out=np.zeros_like(self.counts), where=cover > 0)
+
+    @cached_property
+    def base(self):
+        split = self.feature >= 0
+        levels, at = [], self.roots  # the splits of each level
+        while len(at := at[split[at]]):
+            levels.append(at)
+            at = np.concatenate([self.left[at], self.right[at]])
         # Cover-weighted expected value of every subtree, deepest level first.
-        expected = value.copy()
-        for d in range(level.max() - 1, -1, -1):
-            at = np.flatnonzero(split & (level == d))
-            cl, cr = cover[left[at], None], cover[right[at], None]
-            expected[at] = (cl * expected[left[at]] + cr * expected[right[at]]) / (cl + cr)
-        return FlatForest(
-            feature=feature,
-            threshold=threshold,
-            left=left,
-            right=right,
-            cover=cover,
-            value=value,
-            roots=roots,
-            depth=np.maximum.reduceat(level, roots),
-            # sequential sum in tree order, then the mean
-            base=np.cumsum(expected[roots], axis=0)[-1] / len(roots),
-        )
+        expected = self.value.copy()
+        for at in reversed(levels):
+            cl, cr = self.cover[self.left[at], None], self.cover[self.right[at], None]
+            expected[at] = (cl * expected[self.left[at]] + cr * expected[self.right[at]]) / (cl + cr)
+        # sequential sum in tree order, then the mean
+        return np.cumsum(expected[self.roots], axis=0)[-1] / len(self.roots)
+
+    def leaf_values(self, X):
+        """Each tree's leaf class distribution for every row of X, one tree
+        at a time; all rows descend a tree together, one level per step."""
+        rows = np.arange(X.shape[0])
+        for root, depth in zip(self.roots, self.depth):
+            node = np.full(X.shape[0], root)
+            for _ in range(depth):
+                go_left = X[rows, self.feature[node]] <= self.threshold[node]
+                node = np.where(go_left, self.left[node], self.right[node])
+            yield self.value[node]
 
     @cached_property
     def tree_shapes(self):
@@ -517,7 +542,7 @@ class FlatForest:
 
 @dataclass(frozen=True)
 class ForestModel:
-    trees: tuple
+    flat: FlatForest
     params: ForestParams
     feature_names: tuple
     class_names: tuple
@@ -530,20 +555,29 @@ class ForestModel:
     def n_features(self):
         return len(self.feature_names)
 
-    @cached_property
-    def flat(self):
-        """The trees as one `FlatForest`, built on first use."""
-        return FlatForest.from_trees(self.trees, self.n_features, self.n_classes)
-
     def to_json(self):
-        payload = {
-            "format_version": MODEL_FORMAT_VERSION,
-            "params": asdict(self.params),
-            "class_names": list(self.class_names),
-            "feature_names": list(self.feature_names),
-            "trees": list(self.trees),
-        }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        """The model file's text (format 1): each tree as nested dicts, built
+        from the node arrays and written one tree at a time."""
+        f = self.flat
+        feature, threshold, left, right, cover, counts = (
+            a.tolist() for a in (f.feature, f.threshold, f.left, f.right, f.cover, f.counts))
+        dumps = partial(json.dumps, sort_keys=True, separators=(",", ":"))
+
+        def tree(root, stop):  # a loop, not a self-referencing closure, so no cycle keeps the lists
+            nodes = {}
+            for i in range(stop - 1, root - 1, -1):  # children before their parent
+                if feature[i] < 0:
+                    nodes[i] = {"counts": list(map(int, counts[i])), "cover": int(cover[i])}
+                else:
+                    nodes[i] = {"feature": feature[i], "threshold": threshold[i], "cover": int(cover[i]),
+                                "left": nodes[left[i]], "right": nodes[right[i]]}
+            return dumps(nodes[root])
+
+        head = dumps({"format_version": MODEL_FORMAT_VERSION, "params": asdict(self.params),
+                      "class_names": list(self.class_names), "feature_names": list(self.feature_names)})
+        bounds = f.roots.tolist() + [len(feature)]
+        # "trees" sorts after every other key, so it closes the object
+        return f'{head[:-1]},"trees":[{",".join(map(tree, bounds[:-1], bounds[1:]))}]}}'
 
     def save(self, path):
         with open_output(path) as fh:
@@ -558,11 +592,9 @@ class ForestModel:
         except (ValueError, RecursionError) as e:
             raise SchemaError(f"{path}: not a JSON model file: {e}") from e
         try:
-            model = _model_from_payload(payload)
-            model.flat  # builds and checks the node arrays
+            return _model_from_payload(payload)
         except LmaError as e:
             raise SchemaError(f"{path}: {e}") from e
-        return model
 
 
 def _names(payload, key):
@@ -595,12 +627,9 @@ def _model_from_payload(payload):
     trees = payload.get("trees")
     if not isinstance(trees, list) or len(trees) != params.n_trees:
         raise SchemaError(f"'trees' must be a list of params.n_trees = {params.n_trees} trees")
-    return ForestModel(
-        trees=tuple(trees),
-        params=params,
-        feature_names=_names(payload, "feature_names"),
-        class_names=_names(payload, "class_names"),
-    )
+    feature_names, class_names = _names(payload, "feature_names"), _names(payload, "class_names")
+    flat = FlatForest.from_trees(trees, len(feature_names), len(class_names))
+    return ForestModel(flat, params, feature_names, class_names)
 
 
 def _tree_rng(seed, tree_index):
@@ -614,39 +643,23 @@ def train(data, params):
         raise LmaError("need at least 2 training samples")
     n_classes = len(data.class_names)
     variant = [(params.max_depth, params.min_samples_leaf)]
-    trees = tuple(
+    trees = [
         _grow_tree(X, y, n_classes, params.features_per_split, params.bootstrap, variant,
                    _tree_rng(params.seed, i))[0]
         for i in range(params.n_trees)
-    )
-    return ForestModel(
-        trees=trees,
-        params=params,
-        feature_names=data.feature_names,
-        class_names=data.class_names,
-    )
+    ]
+    return ForestModel(FlatForest.from_records(trees), params, data.feature_names, data.class_names)
 
 
 def predict_proba(model, X):
-    """Mean of per-tree leaf class frequencies; rows sum to 1.
-
-    All rows descend each tree together, one level per step.
-    """
+    """Mean of per-tree leaf class frequencies (`FlatForest.leaf_values`);
+    rows sum to 1."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[1] != model.n_features:
         raise LmaError(f"expected {model.n_features} features, got {X.shape[1]}")
     if not np.all(np.isfinite(X)):
         raise LmaError("non-finite input to predict_proba")
-    flat = model.flat
-    rows = np.arange(X.shape[0])
-    out = np.zeros((X.shape[0], model.n_classes))
-    for root, depth in zip(flat.roots, flat.depth):
-        node = np.full(X.shape[0], root)
-        for _ in range(depth):
-            go_left = X[rows, flat.feature[node]] <= flat.threshold[node]
-            node = np.where(go_left, flat.left[node], flat.right[node])
-        out += flat.value[node]
-    return out / len(flat.roots)
+    return sum(model.flat.leaf_values(X)) / len(model.flat.roots)
 
 
 def predict(model, X):
@@ -683,19 +696,6 @@ def stratified_group_kfold(y, groups, k=3, seed=0):
     return [(np.flatnonzero(fold != f), np.flatnonzero(fold == f)) for f in range(k)]
 
 
-def _add_leaf_values(node, X, rows, total):
-    """Add to `total` each row's leaf class distribution in the nested-dict
-    tree `node`, the value `predict_proba` adds for that tree."""
-    if not len(rows):
-        return
-    if "feature" in node:
-        left = X[:, node["feature"]][rows] <= node["threshold"]
-        _add_leaf_values(node["left"], X, rows[left], total)
-        _add_leaf_values(node["right"], X, rows[~left], total)
-    else:
-        total[rows] += np.array(node["counts"]) / node["cover"]
-
-
 def _score_lattice(data, points, folds):
     """Each lattice point's pooled out-of-fold class predictions (row order)
     and its count of correct predictions on each fold.
@@ -705,7 +705,8 @@ def _score_lattice(data, points, folds):
     variants is grown by one `_grow_tree` call, up to the family's largest
     n_trees, and a point with n_trees k is scored from its variant's running
     sum of the first k trees' leaf values, which is the sum `predict_proba`
-    of a k-tree model divides by k.  Each tree is scored as it is grown.
+    of a k-tree model divides by k.  Each tree is scored as it is grown,
+    with the descent `predict_proba` uses.
     """
     n_classes = len(data.class_names)
     predictions = [np.empty(len(data.y), dtype=int) for _ in points]
@@ -719,15 +720,14 @@ def _score_lattice(data, points, folds):
             raise LmaError("need at least 2 training samples")
         X, y = data.X[train_idx], data.y[train_idx]
         X_test, y_test = data.X[test_idx], data.y[test_idx]
-        test_rows = np.arange(len(test_idx))
         for (features_per_split, bootstrap, seed), family in families.items():
             sums = np.zeros((len(family), len(test_idx), n_classes))
             n_trees = max(points[j].n_trees for members in family.values() for j in members)
             for i in range(n_trees):
-                trees = _grow_tree(X, y, n_classes, features_per_split, bootstrap, list(family),
-                                   _tree_rng(seed, i))
-                for tree, total, members in zip(trees, sums, family.values()):
-                    _add_leaf_values(tree, X_test, test_rows, total)
+                trees = FlatForest.from_records(_grow_tree(
+                    X, y, n_classes, features_per_split, bootstrap, list(family), _tree_rng(seed, i)))
+                for value, total, members in zip(trees.leaf_values(X_test), sums, family.values()):
+                    total += value
                     for j in members:
                         if points[j].n_trees == i + 1:
                             predictions[j][test_idx] = pred = np.argmax(total / (i + 1), axis=1)

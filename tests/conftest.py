@@ -6,6 +6,8 @@ facet triples, the Shapley oracle enumerates feature subsets, and
 `brute_shap` feeds it each saved tree's conditional expectations.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -117,8 +119,9 @@ def brute_shap(model, x):
     (n_classes, n_features): `subset_shapley_oracle` over each tree's
     conditional expectations, cached per subset, averaged over the trees.
     It walks the saved dict trees, not the library's node arrays."""
+    trees = json.loads(model.to_json())["trees"]
     phi = np.zeros((model.n_classes, model.n_features))
-    for tree in model.trees:
+    for tree in trees:
         cache = {}
 
         def value(subset):
@@ -128,7 +131,7 @@ def brute_shap(model, x):
 
         for f, tree_phi in subset_shapley_oracle(value, sorted(_split_features(tree))).items():
             phi[:, f] += tree_phi
-    return phi / len(model.trees)
+    return phi / len(trees)
 
 
 @pytest.fixture(scope="session")

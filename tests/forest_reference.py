@@ -7,15 +7,38 @@ nested-dict trees, one row at a time); the row-batched TreeSHAP pass over
 every (row, leaf) cell that the pass over distinct (leaf, followed splits)
 cells replaced; the checked per-node flattening that `FlatForest.from_trees`
 (one walk, then whole-list checks) replaced; and the per-group and per-class
-loops that the whole-array fold assignment, group vote and metrics replaced."""
+loops that the whole-array fold assignment, group vote and metrics replaced.
+
+The references that walk trees read the nested dicts of the saved model
+(`saved_trees`), and hand-built trees become models through the load path
+(`load_trees`)."""
 
 import csv
+import json
 import math
+from dataclasses import asdict
+from types import SimpleNamespace
 
 import numpy as np
 
 from lmakit.errors import LmaError, SchemaError
-from lmakit.forest import FlatForest, ForestModel, ForestParams, _is_int, _is_real
+from lmakit.forest import ForestParams, _is_int, _is_real, _model_from_payload
+
+
+def saved_trees(model):
+    """The nested-dict trees that `model.json` holds for `model`."""
+    return json.loads(model.to_json())["trees"]
+
+
+def load_trees(trees, feature_names, class_names):
+    """The model of nested-dict `trees`, read as `ForestModel.load` reads a file."""
+    return _model_from_payload({
+        "format_version": 1,
+        "params": asdict(ForestParams(n_trees=len(trees))),
+        "feature_names": list(feature_names),
+        "class_names": list(class_names),
+        "trees": list(trees),
+    })
 
 
 def gini_candidates(values, codes, n_classes, min_leaf):
@@ -116,19 +139,21 @@ def leaf_distribution(node):
 
 def dict_predict_proba(model, X):
     X = np.atleast_2d(np.asarray(X, dtype=float))
+    trees = saved_trees(model)
     out = np.zeros((X.shape[0], model.n_classes))
-    for tree in model.trees:
+    for tree in trees:
         for i, x in enumerate(X):
             node = tree
             while "feature" in node:
                 node = node["left"] if x[node["feature"]] <= node["threshold"] else node["right"]
             out[i] += leaf_distribution(node)
-    return out / len(model.trees)
+    return out / len(trees)
 
 
 def flat_from_trees(trees, n_features, n_classes):
     """`FlatForest.from_trees` as one checked walk: every check runs at its
-    node as the walk reaches it, and the first that fails raises."""
+    node as the walk reaches it, and the first that fails raises.  Returns
+    the arrays, with the leaf values and the base computed here."""
     if not trees:
         raise SchemaError("model has no trees")
     feature, threshold, left, right, cover, counts, level = ([] for _ in range(7))
@@ -205,12 +230,13 @@ def flat_from_trees(trees, n_features, n_classes):
         nodes = np.flatnonzero(split & (level == d))
         cl, cr = cover[left[nodes], None], cover[right[nodes], None]
         expected[nodes] = (cl * expected[left[nodes]] + cr * expected[right[nodes]]) / (cl + cr)
-    return FlatForest(
+    return SimpleNamespace(
         feature=feature,
         threshold=np.array(threshold, dtype=float),
         left=left,
         right=right,
         cover=cover,
+        counts=counts,
         value=value,
         roots=roots,
         depth=np.maximum.reduceat(level, roots),
@@ -302,10 +328,11 @@ def per_row_tree_shap(model, x):
     x = np.asarray(x, dtype=float)
     phi = np.zeros((model.n_features, model.n_classes))
     base = np.zeros(model.n_classes)
-    for tree in model.trees:
+    trees = saved_trees(model)
+    for tree in trees:
         phi += _tree_shap_single(tree, x, model.n_features, model.n_classes)
         base += _tree_expected_value(tree)
-    n = len(model.trees)
+    n = len(trees)
     return (phi / n).T, base / n
 
 
@@ -386,16 +413,12 @@ def random_tree(rng, n_features, n_classes, depth, cover):
 
 
 def random_forest(seed, n_trees, n_features, n_classes, depth):
-    """(model, rows): a forest of random trees and rows on the threshold grid."""
+    """(model, rows): a loaded forest of random trees and rows on the threshold grid."""
     rng = np.random.default_rng(seed)
-    trees = tuple(random_tree(rng, n_features, n_classes, depth, int(rng.integers(1, 200)))
-                  for _ in range(n_trees))
-    model = ForestModel(
-        trees=trees,
-        params=ForestParams(n_trees=n_trees),
-        feature_names=tuple(f"f{i}" for i in range(n_features)),
-        class_names=tuple(f"c{i}" for i in range(n_classes)),
-    )
+    trees = [random_tree(rng, n_features, n_classes, depth, int(rng.integers(1, 200)))
+             for _ in range(n_trees)]
+    model = load_trees(trees, [f"f{i}" for i in range(n_features)],
+                       [f"c{i}" for i in range(n_classes)])
     return model, rng.choice(GRID, size=(7, n_features))
 
 

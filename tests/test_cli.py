@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -336,6 +337,30 @@ def test_deeply_nested_json_exit_2(ws, tmp_path, capsys, line):
     assert f"nested too deeply [{bad}:{line + 1}]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["extract", "--w", "10"], ["sweep", "--sizes", "10"],
+                                     ["kinplot", "--w", "10"]])
+@pytest.mark.parametrize("where", ["fps", "coordinate"])
+def test_overflowing_sequence_exit_2_naming_the_file(ws, tmp_path, capsys, command, where):
+    # finite numbers whose derivatives and norms overflow a float are refused,
+    # without a numpy warning (which would be an internal error here)
+    lines = sorted((ws / "corpus").glob("*.jsonl"))[0].read_text().split("\n")
+    row = 0 if where == "fps" else 4
+    value = json.loads(lines[row])
+    if where == "fps":
+        value["fps"] = 1e300
+    else:
+        value[3][1] = 1e300
+    lines[row] = json.dumps(value)
+    bad = tmp_path / "huge.jsonl"
+    bad.write_text("\n".join(lines))
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["--out", str(tmp_path / "o"), *command, str(bad)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {bad}: per-frame ")
+    assert not list((tmp_path / "o").glob("*.csv"))
+
+
 @pytest.mark.parametrize("coordinate", ["true", '"1.0"', '"abc"'])
 def test_non_numeric_coordinate_exit_2(ws, tmp_path, capsys, coordinate):
     src = sorted((ws / "corpus").glob("*.jsonl"))[0]
@@ -473,13 +498,14 @@ def test_malformed_model_exit_2(ws, tmp_path, capsys, command, case):
 
 @pytest.mark.parametrize("case", MALFORMED_MODELS)
 def test_malformed_model_message_names_node_as_per_node_walk(ws, tmp_path, capsys, case):
+    good = json.loads((ws / "model" / "model.json").read_text())
     payload = json.loads((ws / "model" / "model.json").read_text())
     MALFORMED_MODELS[case](payload)
     model = tmp_path / "model.json"
     model.write_text(json.dumps(payload))
     with pytest.raises(SchemaError) as reference:
-        parsed = _model_from_payload(payload)
-        flat_from_trees(parsed.trees, parsed.n_features, parsed.n_classes)
+        _model_from_payload({**payload, "trees": good["trees"]})  # the checks before the trees
+        flat_from_trees(payload["trees"], len(payload["feature_names"]), len(payload["class_names"]))
     assert main(["--out", str(tmp_path / "o"), "eval", str(model), str(ws / "feats" / "features.csv")]) == 2
     assert capsys.readouterr().err == f"error: {model}: {reference.value}\n"
 
@@ -967,8 +993,8 @@ FUZZ_INPUT = {
     "explain-model": GOOD_INPUT["model"],
     "floor": lambda ws: "".join(f"0 {0.1 * d + 0.01 * (d % 3):.3f} {d:.3f}\n" for d in np.linspace(0, 4, 40)).encode(),
 }
-HOSTILE_TOKENS = [b"NaN", b"Infinity", b"-Infinity", b"1e999", b"9" * 400, b"[" * 100_000,
-                  b"\x00", b"\xff", b"\r"]
+HOSTILE_TOKENS = [b"NaN", b"Infinity", b"-Infinity", b"1e999", b"1e300", b"9" * 400,
+                  b"[" * 100_000, b"\x00", b"\xff", b"\r"]
 NUMBER = re.compile(rb"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
 MUTATION = st.one_of(
     st.tuples(st.just("flip"), st.integers(0, 1 << 16), st.integers(1, 255)),

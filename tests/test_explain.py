@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import brute_shap
 from forest_reference import (
+    load_trees,
     per_row_tree_shap,
     random_forest,
     row_batched_tree_shap,
@@ -23,7 +24,7 @@ from lmakit.explain import (
     write_explanations_csv,
     write_summary_csv,
 )
-from lmakit.forest import Dataset, ForestModel, ForestParams, predict_proba, train
+from lmakit.forest import Dataset, ForestParams, predict_proba, train
 
 
 def _small_forest(seed=0, n_trees=5, max_depth=3, n_features=6, n_per=40):
@@ -45,12 +46,7 @@ def _small_forest(seed=0, n_trees=5, max_depth=3, n_features=6, n_per=40):
 
 
 def _hand_model(trees, n_features=2, class_names=("a", "b")):
-    return ForestModel(
-        trees=tuple(trees),
-        params=ForestParams(n_trees=len(trees)),
-        feature_names=tuple(f"f{i}" for i in range(n_features)),
-        class_names=tuple(class_names),
-    )
+    return load_trees(trees, [f"f{i}" for i in range(n_features)], class_names)
 
 
 STUMP = {
@@ -149,9 +145,8 @@ def test_missing_covers_rejected():
         "left": {"counts": [1, 0], "cover": 1},
         "right": {"counts": [0, 1], "cover": 1},
     }
-    model = _hand_model([bad])
-    with pytest.raises(LmaError):
-        tree_shap(model, np.zeros(2))
+    with pytest.raises(LmaError, match="cover"):
+        _hand_model([bad])
 
 
 # --- summaries and CSV ------------------------------------------------------------

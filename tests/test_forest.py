@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 from dataclasses import replace
@@ -12,8 +13,10 @@ from forest_reference import (
     best_split,
     dict_predict_proba,
     grow_tree,
+    load_trees,
     per_row_tree_shap,
     random_forest,
+    saved_trees,
 )
 from lmakit.errors import LmaError, SchemaError
 from lmakit.forest import (
@@ -21,7 +24,6 @@ from lmakit.forest import (
     FlatForest,
     ForestModel,
     ForestParams,
-    _add_leaf_values,
     _best_point,
     _best_split,
     _grow_tree,
@@ -117,7 +119,7 @@ def test_split_on_adjacent_doubles_keeps_both_children_non_empty():
     X = np.array([[a], [a], [b], [b]])
     data = Dataset.from_labels(X, ["x", "x", "y", "y"], ["g0", "g1", "g2", "g3"], ("f0",))
     params = ForestParams(n_trees=1, max_depth=1, bootstrap=False, features_per_split=1, seed=0)
-    root = train(data, params).trees[0]
+    root = saved_trees(train(data, params))[0]
     assert root["left"]["cover"] == 2 and root["right"]["cover"] == 2
     assert root["left"]["counts"] == [2, 0] and root["right"]["counts"] == [0, 2]
 
@@ -175,9 +177,17 @@ def test_best_split_two_samples():
 ])
 def test_train_grows_the_reference_trees(params):
     data = _blobs(seed=2, sep=1.0)
-    want = tuple(grow_tree(data.X, data.y, len(data.class_names), params, _tree_rng(params.seed, i))
-                 for i in range(params.n_trees))
-    assert train(data, params).trees == want
+    want = [grow_tree(data.X, data.y, len(data.class_names), params, _tree_rng(params.seed, i))
+            for i in range(params.n_trees)]
+    assert saved_trees(train(data, params)) == want
+
+
+def _saved_grown(trees, n_features, n_classes):
+    """The nested dicts that `model.json` holds for trees grown by `_grow_tree`."""
+    model = ForestModel(FlatForest.from_records(trees), ForestParams(n_trees=len(trees)),
+                        tuple(f"f{i}" for i in range(n_features)),
+                        tuple(f"c{i}" for i in range(n_classes)))
+    return saved_trees(model)
 
 
 @st.composite
@@ -211,14 +221,15 @@ def test_joint_growth_equals_separate_growth(lattice, seed, tree_index):
         params = ForestParams(n_trees=1, max_depth=max_depth, min_samples_leaf=min_leaf,
                               features_per_split=features_per_split, bootstrap=bootstrap)
         want = grow_tree(X, codes, n_classes, params, _tree_rng(seed, tree_index))
-        assert tree == alone == want
+        assert tree == alone
+        assert _saved_grown([tree], X.shape[1], n_classes) == [want]
 
 
 def test_joint_growth_parts_variants_mid_tree():
     # depth caps and leaf minimums that bind at different nodes of one tree
     data = _blobs(seed=3, sep=1.0)
     variants = [(None, 1), (3, 1), (None, 6), (2, 12), (None, 1)]
-    joint = _grow_tree(data.X, data.y, 3, 2, True, variants, _tree_rng(9, 4))
+    joint = _saved_grown(_grow_tree(data.X, data.y, 3, 2, True, variants, _tree_rng(9, 4)), 6, 3)
     for (max_depth, min_leaf), tree in zip(variants, joint):
         params = ForestParams(n_trees=1, max_depth=max_depth, min_samples_leaf=min_leaf,
                               features_per_split=2)
@@ -253,7 +264,7 @@ def test_single_stump_no_bootstrap_is_exact_cart():
     data = Dataset.from_labels(X, ["a", "a", "b", "b"], ["g0", "g1", "g2", "g3"], ("f0",))
     params = ForestParams(n_trees=1, max_depth=1, bootstrap=False, features_per_split=1, seed=0)
     model = train(data, params)
-    root = model.trees[0]
+    root = saved_trees(model)[0]
     assert root["feature"] == 0
     assert root["threshold"] == pytest.approx(1.5)
     assert root["left"]["counts"] == [2, 0]
@@ -273,7 +284,7 @@ def test_cover_counts_consistent():
         else:
             assert node["cover"] == sum(node["counts"])
 
-    for t in model.trees:
+    for t in saved_trees(model):
         assert t["cover"] == data.X.shape[0]  # bootstrap keeps N
         check(t)
 
@@ -303,6 +314,38 @@ def test_save_load_round_trip(tmp_path):
     path2 = tmp_path / "model2.json"
     loaded.save(path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def test_load_of_saved_model_has_the_trained_arrays(tmp_path):
+    model = train(_blobs(n_per=20, sep=1.0),
+                  ForestParams(n_trees=5, max_depth=None, min_samples_leaf=2, seed=8))
+    model.save(tmp_path / "model.json")
+    loaded = ForestModel.load(tmp_path / "model.json")
+    for name in FLAT_FIELDS:
+        got, want = getattr(loaded.flat, name), getattr(model.flat, name)
+        assert got.dtype == want.dtype, name
+        np.testing.assert_array_equal(got, want, err_msg=name)
+    assert (loaded.params, loaded.feature_names, loaded.class_names) == (
+        model.params, model.feature_names, model.class_names)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_trees=st.integers(1, 4), depth=st.integers(0, 6))
+def test_saved_dicts_equal_the_loaded_dicts(seed, n_trees, depth):
+    # the references that walk saved dicts walk the trees they were given
+    rng = np.random.default_rng(seed)
+    trees = [forest_reference.random_tree(rng, 3, 2, depth, int(rng.integers(1, 200)))
+             for _ in range(n_trees)]
+    assert saved_trees(load_trees(trees, ("f0", "f1", "f2"), ("a", "b"))) == trees
+
+
+def test_to_json_leaves_no_reference_cycle():
+    # a cycle would hold the node lists until the cyclic collector ran, and
+    # repeated saves then raised a process's peak memory
+    model = train(_blobs(n_per=20), ForestParams(n_trees=3, max_depth=4, seed=5))
+    gc.collect()
+    model.to_json()
+    assert gc.collect() == 0
 
 
 def test_load_rejects_unknown_format(tmp_path):
@@ -517,14 +560,13 @@ def test_flat_base_equals_per_tree_expectation():
 def test_flat_arrays_layout():
     stump = {"feature": 1, "threshold": 0.5, "cover": 3,
              "left": {"counts": [2, 0], "cover": 2}, "right": {"counts": [0, 1], "cover": 1}}
-    model = ForestModel((stump, {"counts": [2, 0], "cover": 2}), ForestParams(n_trees=2),
-                        ("f0", "f1"), ("a", "b"))
-    flat = model.flat
+    flat = load_trees([stump, {"counts": [2, 0], "cover": 2}], ("f0", "f1"), ("a", "b")).flat
     np.testing.assert_array_equal(flat.feature, [1, -1, -1, -1])
     np.testing.assert_array_equal(flat.left, [1, 1, 2, 3])
     np.testing.assert_array_equal(flat.right, [2, 1, 2, 3])
     np.testing.assert_array_equal(flat.roots, [0, 3])
     np.testing.assert_array_equal(flat.depth, [1, 0])
+    np.testing.assert_array_equal(flat.counts, [[0, 0], [2, 0], [0, 1], [2, 0]])
     np.testing.assert_array_equal(flat.value[3], [1.0, 0.0])
     np.testing.assert_allclose(flat.base, [(2 / 3 + 1.0) / 2, (1 / 3) / 2])
 
@@ -579,12 +621,12 @@ def test_load_rejects_malformed_model(tmp_path, case):
 def test_shared_node_object_rejected():
     leaf = {"counts": [1, 1], "cover": 2}
     tree = {"feature": 0, "threshold": 0.0, "cover": 4, "left": leaf, "right": leaf}
-    model = ForestModel((tree,), ForestParams(n_trees=1), ("f0",), ("a", "b"))
     with pytest.raises(SchemaError, match="twice"):
-        predict_proba(model, np.zeros((1, 1)))
+        load_trees([tree], ("f0",), ("a", "b"))
 
 
-FLAT_FIELDS = ("feature", "threshold", "left", "right", "cover", "value", "roots", "depth", "base")
+FLAT_FIELDS = ("feature", "threshold", "left", "right", "cover", "counts", "value", "roots", "depth",
+               "base")
 
 
 def _flattened(flatten, trees, n_features, n_classes):
@@ -618,12 +660,12 @@ def _assert_same_flattening(trees, n_features, n_classes):
 )
 def test_flattening_equals_per_node_walk(seed, n_trees, n_features, n_classes, depth):
     model, _ = random_forest(seed, n_trees, n_features, n_classes, depth)
-    _assert_same_flattening(model.trees, n_features, n_classes)
+    _assert_same_flattening(saved_trees(model), n_features, n_classes)
 
 
 def test_trained_flattening_equals_per_node_walk():
     model = train(_blobs(), ForestParams(n_trees=6, max_depth=None, min_samples_leaf=2, seed=3))
-    _assert_same_flattening(model.trees, model.n_features, model.n_classes)
+    _assert_same_flattening(saved_trees(model), model.n_features, model.n_classes)
 
 
 # Edits that make a node malformed, or leave it well formed in an unusual
@@ -668,10 +710,10 @@ def _edit(trees, nodes, at, kind):
 
 def test_each_node_edit_raises_as_per_node_walk():
     # every edit at every node of a small forest, one at a time
-    n_nodes = len(_forest_nodes(random_forest(2, 3, 3, 2, 4)[0].trees))
+    n_nodes = len(_forest_nodes(saved_trees(random_forest(2, 3, 3, 2, 4)[0])))
     for at in range(n_nodes):
         for kind in range(len(NODE_EDITS) + 4):
-            trees = list(random_forest(2, 3, 3, 2, 4)[0].trees)
+            trees = saved_trees(random_forest(2, 3, 3, 2, 4)[0])
             _edit(trees, _forest_nodes(trees), at, kind)
             _assert_same_flattening(tuple(trees), 3, 2)
 
@@ -688,7 +730,7 @@ def test_malformed_flattening_raises_as_per_node_walk(seed, n_trees, depth, edit
     # the first malformed node in walk order is named, with the same words,
     # wherever in the forest the edits land
     model, _ = random_forest(seed, n_trees, 3, 2, depth)
-    trees = list(model.trees)
+    trees = saved_trees(model)
     nodes = _forest_nodes(trees)
     for at, kind in edits:
         _edit(trees, nodes, at, kind)
@@ -718,15 +760,6 @@ def test_grid_search_keeps_out_of_fold_predictions():
         correct.append([int(np.sum(expected[te] == data.y[te])) for _, te in folds])
     sizes = [len(te) for _, te in folds]
     assert best is report[_best_point([r["params"] for r in report], correct, sizes)]["params"]
-
-
-def test_leaf_value_sums_equal_predict_proba():
-    data = _blobs(n_per=20, sep=1.0)
-    model = train(data, ForestParams(n_trees=7, max_depth=None, seed=3))
-    total = np.zeros((len(data.y), 3))
-    for tree in model.trees:
-        _add_leaf_values(tree, data.X, np.arange(len(data.y)), total)
-    assert np.array_equal(total / 7, predict_proba(model, data.X))
 
 
 def test_best_point_ranks_exact_means():
