@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 internal error.
 
 import argparse
 import configparser
+import contextlib
 import functools
 import hashlib
 import json
@@ -27,7 +28,7 @@ from . import __version__
 # installed there (a profiler or tracer) sees every call.
 from . import features
 from .charts import svg_line_chart
-from .errors import GapError, LmaError
+from .errors import LmaError
 from .explain import (
     mean_abs_phi,
     rank_features,
@@ -109,13 +110,21 @@ def _load_cloud(path):
     return np.array(pts, dtype=float).reshape(-1, 3)
 
 
+@contextlib.contextmanager
+def _naming(path, note=""):
+    """A refusal raised inside names the file at `path`, which the code that
+    raised it does not know, and ends with `note`."""
+    try:
+        yield
+    except LmaError as e:
+        raise LmaError(f"{path}: {e}{note}") from e
+
+
 def _fit_cloud(path, **kwargs):
     """`fit_floor` on the point cloud file at `path`; its errors name the file."""
     cloud = _load_cloud(path)
-    try:
+    with _naming(path):
         return fit_floor(cloud, **kwargs)
-    except LmaError as e:
-        raise LmaError(f"{path}: {e}") from e
 
 
 def _out_dir(path):
@@ -244,10 +253,8 @@ def _load_sequences(paths, max_gap=6):
     seqs = []
     for p in paths:
         seq = load_sequence(p)  # its errors already carry [path:line]
-        try:
+        with _naming(p):
             seqs.append(validate_and_repair(seq, max_gap=max_gap))
-        except GapError as e:  # the repair does not know the file
-            raise LmaError(f"{p}: {e}") from e
     _refuse_mixed(paths, (seq.fps for seq in seqs), "frame rates", "resample them to one rate",
                   describe=lambda fps: f"{fps:g} fps")
     _refuse_mixed(paths, (json.dumps(skeleton_signature(seq.skeleton)) for seq in seqs), "skeletons",
@@ -257,10 +264,8 @@ def _load_sequences(paths, max_gap=6):
 
 def _primitives(path, seq):
     """The per-frame primitives of the sequence read from `path`; a refusal names the file."""
-    try:
+    with _naming(path):
         return features.SequencePrimitives(seq)
-    except LmaError as e:
-        raise LmaError(f"{path}: {e}") from e
 
 
 def _floor_for(args, notes):
@@ -277,7 +282,8 @@ def cmd_extract(args, file_cfg, out):
     for path, seq in zip(args.sequences, seqs):
         prim = _primitives(path, seq)
         degenerate += int(np.count_nonzero(prim.volume == 0.0))
-        tables.append(assemble_features(seq, plane=plane, cfg=cfg, primitives=prim))
+        with _naming(path):
+            tables.append(assemble_features(seq, plane=plane, cfg=cfg, primitives=prim))
     table = FeatureTable.concat(tables)
     write_features_csv(table, out / "features.csv")
     _echo(f"wrote {len(table)} feature rows to {out / 'features.csv'}")
@@ -380,7 +386,8 @@ def cmd_train(args, file_cfg, out):
     t = _read_rows(args.features, labelled=True)
     data = Dataset.from_labels(t.X, t.labels, t.groups, FEATURE_NAMES)
     grid = _forest_grid(args, file_cfg)
-    best, report = grid_search(data, grid, k=args.k, seed=args.seed)
+    with _naming(args.features, f" (--k {args.k})"):
+        best, report = grid_search(data, grid, k=args.k, seed=args.seed)
 
     write_csv(
         out / "cv_report.csv",
@@ -441,11 +448,10 @@ def cmd_sweep(args, file_cfg, out):
     seqs = _load_sequences(args.sequences)
     notes = {}
     plane = _floor_for(args, notes)
-    min_T = min(s.n_frames for s in seqs)
+    min_T, shortest = min((s.n_frames, str(p)) for s, p in zip(seqs, args.sequences))
     sizes = args.sizes
-    for w in sizes:
-        if w > min_T:
-            raise LmaError(f"window {w} exceeds shortest sequence ({min_T} frames)")
+    if max(sizes) > min_T:
+        raise LmaError(f"{shortest}: window {max(sizes)} exceeds shortest sequence ({min_T} frames)")
     cfgs = [_lma_config(args, file_cfg, WindowConfig(w=w, stride=args.stride)) for w in sizes]
     forest = _forest_settings(args, file_cfg)
     params = ForestParams(n_trees=args.n_trees, max_depth=args.max_depth,
@@ -459,7 +465,8 @@ def cmd_sweep(args, file_cfg, out):
             for seq, prim in zip(seqs, prims)
         )
         data = Dataset.from_labels(t.X, t.labels, t.groups, FEATURE_NAMES)
-        accs = cross_val_accuracy(data, params, k=args.k, seed=args.seed)
+        with _naming(", ".join(map(str, args.sequences)), f" (--k {args.k})"):
+            accs = cross_val_accuracy(data, params, k=args.k, seed=args.seed)
         results.append((w, float(np.mean(accs)), float(np.std(accs))))
         _echo(f"w={w}: accuracy {np.mean(accs):.4f} +/- {np.std(accs):.4f}")
     write_csv(out / "sweep.csv", ["w", "mean_accuracy", "std_accuracy"],
@@ -499,7 +506,7 @@ def cmd_kinplot(args, file_cfg, out):
     seq = _load_sequences([args.sequence])[0]
     w = _resolved(args, file_cfg, "window.w", WINDOW, 55)
     if seq.n_frames < w:
-        raise LmaError(f"sequence shorter than window ({seq.n_frames} < {w})")
+        raise LmaError(f"{args.sequence}: sequence shorter than window ({seq.n_frames} < {w})")
     prim = _primitives(args.sequence, seq)
     skel = seq.skeleton
     sel = [skel.index(r) for r in SELECTED_JOINTS]

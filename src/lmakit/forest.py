@@ -9,14 +9,15 @@ tree is node arrays (`FlatForest`) from growth on; nested dicts are only
 Tree i of a forest draws from its own stream, seeded by (seed, i), so the
 grid search grows each fold's trees once for the whole lattice: one
 `_grow_tree` call grows tree i for every (max_depth, min_samples_leaf) pair
-at once, sharing the nodes where the pairs agree, and a k-tree point is
-scored from the running sum of its first k trees' leaf values, read off each
-tree by `predict_proba`'s descent as it is grown.  Every fold accuracy and
-prediction equals that of a separate fit of the point.
+at once from one list of feature draws.  A pair's place in the stream is its
+count of draws taken, and the pairs that reach a node with the same count
+share its split search.  A k-tree point is scored from the running sum of its
+first k trees' leaf values, read off each tree by `predict_proba`'s descent
+as it is grown.  Every fold accuracy and prediction equals that of a separate
+fit of the point.
 """
 
 import bisect
-import copy
 import json
 import math
 from dataclasses import asdict, dataclass, fields, replace
@@ -168,73 +169,57 @@ def _grow_tree(X, codes, n_classes, features_per_split, bootstrap, variants, rng
     each equal to the tree grown for that pair alone from `rng`, as a list
     of node records in preorder (read by `FlatForest.from_records`).
 
-    The variants that reach a node with the same rows and generator state
-    share its class count, its feature draw and one split search.  Where
-    some stop and others split, or their best splits differ, they part, and
-    each part goes on with its own copy of the generator; a variant's right
-    subtree starts from the state its left subtree left behind.
+    A tree draws its bootstrap rows from `rng` and then one set of features
+    per split search, in preorder, so a variant's k-th search always gets the
+    stream's k-th draw.  The draws are taken once, in stream order, and a
+    variant's whole generator state is its draw count.  The variants that
+    reach a node with the same rows and draw count share its class count,
+    its draw and one split search.
     """
-    n_features = X.shape[1]
-    mtry = min(features_per_split, n_features)
-    # the narrowest type: numpy's stable argsort of 8- and 16-bit integers is a radix sort
-    codes = codes.astype(np.min_scalar_type(n_classes))
-    depth_cap = [math.inf if d is None else d for d, _ in variants]
-    min_leaf = [m for _, m in variants]
-    gen = [rng] * len(variants)  # the generator each variant draws from next
-
-    def fork(part, rng):
-        copied = copy.deepcopy(rng)
-        for v in part:
-            gen[v] = copied
-
-    def build(idx, depth, group):
-        """The subtree over rows `idx` of each variant in `group`; they hold one generator."""
-        node_codes = codes[idx]
-        totals = np.bincount(node_codes, minlength=n_classes)
-        n = len(idx)
-        grow = [v for v in group if n >= 2 * min_leaf[v] and depth < depth_cap[v]]
-        leaf = [(-1, math.inf, n, totals.tolist(), depth, 0)]
-        if not grow or np.count_nonzero(totals) < 2:
-            return [leaf] * len(group)
-        rng = gen[group[0]]
-        if len(grow) < len(group):
-            # the variants that stop here keep the state from before the feature draw
-            fork([v for v in group if v not in grow], rng)
-        feats = np.sort(rng.choice(n_features, size=mtry, replace=False))
-        splits = _best_split(X, idx, feats, node_codes, totals, [min_leaf[v] for v in grow])
-        if len(grow) == len(group) and splits[0] is not None and splits.count(splits[0]) == len(grow):
-            return split_node(idx, depth, group, *splits[0][1:])  # the group goes on together
-        parts = {}
-        for v, split in zip(grow, splits):
-            parts.setdefault(split, []).append(v)
-        for part in list(parts.values())[1:]:
-            fork(part, rng)
-        nodes = {}
-        for split, part in parts.items():
-            if split is not None:
-                nodes.update(zip(part, split_node(idx, depth, part, *split[1:])))
-        return [nodes.get(v, leaf) for v in group]
-
-    def split_node(idx, depth, part, f, thr):
-        mask = X[:, f][idx] <= thr
-        left = build(idx[mask], depth + 1, part)
-        if len(part) == 1:
-            right = build(idx[~mask], depth + 1, part)
-        else:
-            # the variants that the left subtrees leave on one generator grow the right one together
-            on = {}
-            for v in part:
-                on.setdefault(id(gen[v]), []).append(v)
-            by_variant = {}
-            for vs in on.values():
-                by_variant.update(zip(vs, build(idx[~mask], depth + 1, vs)))
-            right = [by_variant[v] for v in part]
-        return [[(f, thr, len(idx), [0] * n_classes, depth, len(l)), *l, *r]
-                for l, r in zip(left, right)]
-
     n = X.shape[0]
     idx = np.sort(rng.integers(0, n, size=n)) if bootstrap else np.arange(n)
-    return build(idx, 0, range(len(variants)))
+    trees = [[] for _ in variants]
+    # the narrowest type: numpy's stable argsort of 8- and 16-bit integers is a radix sort
+    lattice = (X, codes.astype(np.min_scalar_type(n_classes)), n_classes,
+               [math.inf if d is None else d for d, _ in variants], [m for _, m in variants],
+               rng, min(features_per_split, X.shape[1]), [], [0] * len(variants), trees)
+    _grow_subtree(lattice, idx, 0, range(len(variants)))
+    return trees
+
+
+def _grow_subtree(lattice, idx, depth, group):
+    """Append the subtree over rows `idx` to the node records of each variant
+    in `group`, all of which have taken the same number of draws.  `lattice`
+    holds `_grow_tree`'s inputs, the draws so far, and each variant's draw
+    count and node records."""
+    X, codes, n_classes, depth_cap, min_leaf, rng, mtry, draws, taken, trees = lattice
+    node_codes = codes[idx]
+    totals = np.bincount(node_codes, minlength=n_classes)
+    n, k = len(idx), taken[group[0]]
+    search = [v for v in group if n >= 2 * min_leaf[v] and depth < depth_cap[v]]
+    parts = {}  # split -> the variants that take it
+    if search and np.count_nonzero(totals) >= 2:
+        if k == len(draws):  # the stream's next draw
+            draws.append(np.sort(rng.choice(X.shape[1], size=mtry, replace=False)))
+        splits = _best_split(X, idx, draws[k], node_codes, totals, [min_leaf[v] for v in search])
+        for v, split in zip(search, splits):
+            taken[v] = k + 1  # a search that finds no split has still taken its draw
+            if split is not None:
+                parts.setdefault(split[1:], []).append(v)
+    leaf = (-1, math.inf, n, totals.tolist(), depth, 0)
+    for v in group:
+        trees[v].append(leaf)  # a split's record replaces it below
+    for (f, thr), part in parts.items():
+        at = [len(trees[v]) for v in part]  # where each variant's left subtree starts
+        mask = X[:, f][idx] <= thr
+        _grow_subtree(lattice, idx[mask], depth + 1, part)
+        for v, i in zip(part, at):
+            trees[v][i - 1] = (f, thr, n, [0] * n_classes, depth, len(trees[v]) - i)
+        right = {}  # the variants by the draw count their left subtrees left them with
+        for v in part:
+            right.setdefault(taken[v], []).append(v)
+        for same in right.values():
+            _grow_subtree(lattice, idx[~mask], depth + 1, same)
 
 
 def _is_int(v):
@@ -667,12 +652,14 @@ def predict(model, X):
     return np.argmax(predict_proba(model, X), axis=1)
 
 
-def stratified_group_kfold(y, groups, k=3, seed=0):
+def stratified_group_kfold(y, groups, k=3, seed=0, class_names=None):
     """Partition groups into k folds balancing class proportions.
 
     No group straddles folds.  Each group is characterised by its majority
     class; greedy assignment, largest groups first, puts each in the fold
-    holding the fewest rows of that class, then the fewest rows.
+    holding the fewest rows of that class, then the fewest rows.  A class
+    with fewer than k groups is refused, by its name in `class_names` if
+    given, else by its code.
     """
     y = np.asarray(y, dtype=int)
     counts, g = class_counts_by_group(y, groups)
@@ -681,7 +668,8 @@ def stratified_group_kfold(y, groups, k=3, seed=0):
     per_class_groups = np.bincount(group_class, minlength=n_classes)
     short = (np.bincount(y, minlength=n_classes) > 0) & (per_class_groups < k)
     for c in np.flatnonzero(short)[:1]:
-        raise LmaError(f"class {c} present in only {per_class_groups[c]} groups, need >= {k}")
+        name = c if class_names is None else repr(class_names[c])
+        raise LmaError(f"class {name} present in only {per_class_groups[c]} groups, need >= {k}")
 
     shuffled_pos = np.argsort(np.random.default_rng(seed).permutation(n_groups))
     fold_counts = np.zeros((k, n_classes), dtype=int)  # rows per (fold, majority class)
@@ -702,11 +690,12 @@ def _score_lattice(data, points, folds):
 
     Points sharing (features_per_split, bootstrap, seed) form a family.  On
     each fold, tree i of all the family's (max_depth, min_samples_leaf)
-    variants is grown by one `_grow_tree` call, up to the family's largest
-    n_trees, and a point with n_trees k is scored from its variant's running
-    sum of the first k trees' leaf values, which is the sum `predict_proba`
-    of a k-tree model divides by k.  Each tree is scored as it is grown,
-    with the descent `predict_proba` uses.
+    variants is grown by one `_grow_tree` call from stream (seed, i), up to
+    the family's largest n_trees; the variants share each split search they
+    reach with the same rows and draw count.  A point with n_trees k is
+    scored from its variant's running sum of the first k trees' leaf values,
+    which is the sum `predict_proba` of a k-tree model divides by k.  Each
+    tree is scored as it is grown, with the descent `predict_proba` uses.
     """
     n_classes = len(data.class_names)
     predictions = [np.empty(len(data.y), dtype=int) for _ in points]
@@ -737,7 +726,8 @@ def _score_lattice(data, points, folds):
 
 def cross_val_accuracy(data, params, k=3, seed=0):
     """Per-fold validation accuracies under grouped stratified CV."""
-    folds = stratified_group_kfold(data.y, data.groups, k=k, seed=seed)
+    folds = stratified_group_kfold(data.y, data.groups, k=k, seed=seed,
+                                   class_names=data.class_names)
     correct = _score_lattice(data, [params], folds)[1][0]
     return [c / len(test_idx) for c, (_, test_idx) in zip(correct, folds)]
 
@@ -772,7 +762,8 @@ def grid_search(data, grid, k=3, seed=0):
         grid = expand_grid(grid)
     if not grid:
         raise LmaError("empty parameter grid")
-    folds = stratified_group_kfold(data.y, data.groups, k=k, seed=seed)
+    folds = stratified_group_kfold(data.y, data.groups, k=k, seed=seed,
+                                   class_names=data.class_names)
     sizes = [len(test_idx) for _, test_idx in folds]
     points = [replace(params, seed=seed) for params in grid]
     predictions, correct = _score_lattice(data, points, folds)

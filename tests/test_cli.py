@@ -238,6 +238,37 @@ def test_window_longer_than_sequence_exit_2(ws, tmp_path):
     assert main(["--out", str(out), "extract", "--w", "999", str(seq)]) == 2
 
 
+@pytest.mark.parametrize("command", [["extract", "--w", "100"], ["kinplot", "--w", "100"],
+                                     ["sweep", "--sizes", "100"]])
+def test_window_longer_than_sequence_names_it(ws, tmp_path, capsys, command):
+    # a multi-file extract says which of its 60-frame sequences is too short
+    seqs = sorted(str(p) for p in (ws / "corpus").glob("*.jsonl"))[:1 if command[0] == "kinplot" else 3]
+    assert main(["--out", str(tmp_path / "o"), *command, *seqs]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {seqs[0]}: ") and "100" in err and "60" in err
+
+
+@pytest.mark.parametrize("k", ["3", "4"])
+def test_sweep_too_few_groups_names_label_k_and_files(ws, tmp_path, capsys, k):
+    seqs = [str(ws / "corpus" / f"arc_0{i}.jsonl") for i in range(int(k) - 1)]
+    assert main(["--out", str(tmp_path / "o"), "sweep", "--sizes", "10", "--k", k, *seqs]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {', '.join(seqs)}: class 'arc' present in only {int(k) - 1} groups")
+    assert f"(--k {k})" in err
+    assert not (tmp_path / "o" / "manifest.json").exists()
+
+
+def test_train_too_few_groups_names_label_k_and_file(ws, tmp_path, capsys):
+    # two 'arc' groups and three of every other class
+    lines = (ws / "feats" / "features.csv").read_text().splitlines(keepends=True)
+    csv = tmp_path / "two-arc-groups.csv"
+    csv.write_text("".join(line for line in lines if ",arc_02," not in line))
+    assert any(",arc_01," in line for line in lines)
+    assert main(["--out", str(tmp_path / "o"), "train", str(csv), "--n-trees", "2"]) == 2
+    assert capsys.readouterr().err == (f"error: {csv}: class 'arc' present in only 2 groups, "
+                                       "need >= 3 (--k 3)\n")
+
+
 def test_extract_manifest_records_fps_and_degenerate_hulls(ws, tmp_path):
     from conftest import make_sequence, static_pose_positions
     from lmakit.sequence import save_sequence
@@ -668,7 +699,8 @@ def test_kinplot_two_frame_sequence_exit_2(tmp_path, capsys):
     path = tmp_path / "short.jsonl"
     save_sequence(make_sequence(static_pose_positions(2)), path)
     assert main(["--out", str(tmp_path / "o"), "kinplot", "--w", "2", str(path)]) == 2
-    assert "too short" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "too short" in err and str(path) in err
 
 
 def test_explanations_csv_matches_per_row_writer(ws, tmp_path):
@@ -981,7 +1013,19 @@ def _fuzz_argv(ws, command, path):
         "eval-model": ["eval", path, feats],
         "explain-model": ["explain", path, feats],
         "floor": ["floor", path],
+        "extract-config": ["--config", path, "extract", _fuzz_sequence(ws)],
+        "train-config": ["--config", path, "train", feats, "--n-trees", "2", "--max-depth", "3",
+                         "--min-samples-leaf", "1"],
     }[command]
+
+
+def _fuzz_sequence(ws):
+    return str(sorted((ws / "corpus").glob("*.jsonl"))[0])
+
+
+# every [window], [lma] and [forest] key
+FUZZ_CONFIG = (b"[window]\nw = 20\nstride = 10\n\n[lma]\ninitiation_scale = 1.0\nepsilon_net = 0.001\n\n"
+               b"[forest]\nfeatures_per_split = 8\nbootstrap = true\n")
 
 
 FUZZ_INPUT = {
@@ -992,6 +1036,8 @@ FUZZ_INPUT = {
     "eval-model": GOOD_INPUT["model"],
     "explain-model": GOOD_INPUT["model"],
     "floor": lambda ws: "".join(f"0 {0.1 * d + 0.01 * (d % 3):.3f} {d:.3f}\n" for d in np.linspace(0, 4, 40)).encode(),
+    "extract-config": lambda ws: FUZZ_CONFIG,
+    "train-config": lambda ws: FUZZ_CONFIG,
 }
 HOSTILE_TOKENS = [b"NaN", b"Infinity", b"-Infinity", b"1e999", b"1e300", b"9" * 400,
                   b"[" * 100_000, b"\x00", b"\xff", b"\r"]
@@ -1026,7 +1072,8 @@ def _mutated(data, mutation):
 @given(command=st.sampled_from(list(FUZZ_INPUT)), mutations=st.lists(MUTATION, min_size=1, max_size=3))
 def test_hostile_input_exits_0_or_2_naming_the_file(ws, command, mutations):
     # a mutated input is either used or refused as a data error naming it;
-    # it never escapes as an internal error (exit 3)
+    # it never escapes as an internal error (exit 3).  A config value that
+    # does not fit the sequence, a window longer than it, names the sequence.
     data = FUZZ_INPUT[command](ws)
     for mutation in mutations:
         data = _mutated(data, mutation)
@@ -1037,7 +1084,8 @@ def test_hostile_input_exits_0_or_2_naming_the_file(ws, command, mutations):
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
         rc = main(["--out", str(ws / "fuzz" / "out"), *_fuzz_argv(ws, command, str(path))])
     assert rc in (0, 2), err.getvalue()
-    assert rc == 0 or str(path) in err.getvalue(), err.getvalue()
+    named = [str(path)] + ([_fuzz_sequence(ws)] if command == "extract-config" else [])
+    assert rc == 0 or any(name in err.getvalue() for name in named), err.getvalue()
 
 
 @pytest.mark.parametrize("out", ["afile", "afile/sub"])

@@ -225,6 +225,20 @@ def test_joint_growth_equals_separate_growth(lattice, seed, tree_index):
         assert _saved_grown([tree], X.shape[1], n_classes) == [want]
 
 
+def test_joint_growth_leaves_no_reference_cycle():
+    # a cycle would hold the call's arrays until the cyclic collector ran
+    data = _blobs(seed=3, sep=1.0)
+    variants = [(None, 1), (3, 1), (None, 6), (2, 12), (None, 1)]
+    rng = _tree_rng(9, 4)
+    gc.collect()
+    gc.disable()
+    try:
+        _grow_tree(data.X, data.y, 3, 2, True, variants, rng)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_joint_growth_parts_variants_mid_tree():
     # depth caps and leaf minimums that bind at different nodes of one tree
     data = _blobs(seed=3, sep=1.0)
